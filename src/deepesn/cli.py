@@ -22,6 +22,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .config import (
@@ -58,19 +59,15 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _write_report(report: dict, out: str | None) -> None:
+def _write_report(report: dict, args) -> None:
+    """Write to --out, else to $DEEPESN_OUT, else to stdout."""
+    out = args.out if args.out is not None else os.environ.get("DEEPESN_OUT")
     text = dump_report(report)
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _resolve_out(args) -> str | None:
-    if args.out is not None:
-        return args.out
-    return os.environ.get("DEEPESN_OUT")
 
 
 def _load_configured_dataset(args):
@@ -88,7 +85,7 @@ def _load_configured_dataset(args):
     return config, dataset
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> dict:
     config, dataset = _load_configured_dataset(args)
     reservoir_config = build_reservoir_config(config, dataset.dim)
     readout = config["readout"]
@@ -101,24 +98,16 @@ def _cmd_run(args) -> int:
         threshold=readout["threshold"],
         tune_threshold=readout["tune_threshold"],
     )
-    report = {
-        "schema": REPORT_SCHEMA,
-        "kind": "run",
+    results = asdict(result)
+    return {
         "dataset": {"name": dataset.name, "dim": dataset.dim},
         "config": config,
-        "results": {
-            "train_acc": result.train_acc,
-            "valid_acc": result.valid_acc,
-            "test_acc": result.test_acc,
-            "threshold": result.threshold,
-        },
-        "timing": {"seconds": result.seconds},
+        "timing": {"seconds": results.pop("seconds")},
+        "results": results,
     }
-    _write_report(report, _resolve_out(args))
-    return 0
 
 
-def _cmd_grid(args) -> int:
+def _cmd_grid(args) -> dict:
     config, dataset = _load_configured_dataset(args)
     base = build_reservoir_config(config, dataset.dim)
     start = time.perf_counter()
@@ -133,29 +122,18 @@ def _cmd_grid(args) -> int:
         tune_threshold=config["readout"]["tune_threshold"],
         workers=config["workers"],
     )
-    report = {
-        "schema": REPORT_SCHEMA,
-        "kind": "grid",
+    return {
         "dataset": {"name": dataset.name, "dim": dataset.dim},
         "config": config,
         "best": selection.best.to_dict() if selection.best else None,
         "trials": [trial.to_dict() for trial in selection.trials],
         "timing": {"seconds": time.perf_counter() - start},
     }
-    _write_report(report, _resolve_out(args))
-    return 0
 
 
-def _cmd_validate_data(args) -> int:
+def _cmd_validate_data(args) -> dict:
     dataset = load_dataset(args.dataset)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "kind": "validate-data",
-        "valid": True,
-        "summary": dataset.summary(),
-    }
-    _write_report(report, _resolve_out(args))
-    return 0
+    return {"valid": True, "summary": dataset.summary()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,11 +175,12 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, DataFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+        report = {"schema": REPORT_SCHEMA, "kind": args.command, **args.func(args)}
+        _write_report(report, args)
+        return 0
+    except (
+        ConfigError, DataFormatError, FileNotFoundError, IsADirectoryError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DeepEsnError as exc:

@@ -1,19 +1,21 @@
 """Experiment configuration: defaults, presets, files, environment.
 
-A configuration is a plain JSON object validated against a schema.
-Values are resolved in increasing priority: built-in defaults, then the
-named preset, then the configuration file, then DEEPESN_* environment
-variables, then command-line flags. The resolved object is what every
-run and grid report echoes back.
+A configuration is a plain JSON object. Values are resolved in
+increasing priority: built-in defaults, then the named preset, then the
+configuration file, then DEEPESN_* environment variables, then
+command-line flags. The resolved object is validated once, whatever
+each value came from: `DEFAULTS` fixes the allowed keys and their
+types, and the dataclasses built from it fix the ranges. It is what
+every run and grid report echoes back.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 import os
-
-import jsonschema
+from contextlib import contextmanager
 
 from .errors import ConfigError
 from .ip import IpConfig
@@ -21,7 +23,6 @@ from .reservoir import ReservoirConfig
 from .selection import GridSpec, clip_radius_target
 
 __all__ = [
-    "CONFIG_SCHEMA",
     "DEFAULTS",
     "PRESETS",
     "resolve_config",
@@ -29,75 +30,6 @@ __all__ = [
     "build_ip_config",
     "build_grid_spec",
 ]
-
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-_UNIT_OPEN = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "preset": {"type": "string"},
-        "dataset": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "workers": {"type": "integer", "minimum": 1},
-        "washout": {"type": "integer", "minimum": 0},
-        "reservoir": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_layers": {"type": "integer", "minimum": 1},
-                "units_per_layer": {"type": "integer", "minimum": 1},
-                "leaky_rate": _UNIT_OPEN,
-                "spectral_radius": _UNIT_OPEN,
-                "input_scaling": _POSITIVE,
-                "connectivity": _UNIT_OPEN,
-            },
-        },
-        "ip": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "target_mean": {"type": "number"},
-                "target_std": _POSITIVE,
-                "learning_rate": _POSITIVE,
-                "epochs": {"type": "integer", "minimum": 1},
-            },
-        },
-        "readout": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "ridge": {"type": "number", "minimum": 0},
-                "threshold": {"type": "number", "minimum": 0, "maximum": 1},
-                "tune_threshold": {"type": "boolean"},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "spectral_radii": {
-                    "type": "array", "items": _UNIT_OPEN, "minItems": 1,
-                },
-                "leaky_rates": {
-                    "type": "array", "items": _UNIT_OPEN, "minItems": 1,
-                },
-                "input_scalings": {
-                    "type": "array", "items": _POSITIVE, "minItems": 1,
-                },
-                "ridges": {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0},
-                    "minItems": 1,
-                },
-                "n_guesses": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
 
 DEFAULTS = {
     "dataset": None,
@@ -127,6 +59,26 @@ DEFAULTS = {
         "ridges": [1e-4, 1e-3, 1e-2, 1e-1],
         "n_guesses": 5,
     },
+}
+
+# What a value may be, keyed by the type of its default in DEFAULTS:
+# (accepted exact types, description). Booleans are not numbers here,
+# and `dataset` is None until one is given.
+_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    type(None): ((str, type(None)), "a string"),
+}
+
+# Ranges of the top-level and readout scalars that no dataclass checks:
+# dotted key -> (lowest, highest) allowed value.
+_BOUNDS = {
+    "seed": (0, math.inf),
+    "workers": (1, math.inf),
+    "washout": (0, math.inf),
+    "readout.ridge": (0.0, math.inf),
+    "readout.threshold": (0.0, 1.0),
 }
 
 # Benchmark architectures: a deep stack and a single wide layer of the
@@ -172,6 +124,42 @@ def _env_int(env: dict, name: str):
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
+def _check_types(value, default, key: str) -> None:
+    """Reject keys DEFAULTS lacks and values of another type than its own."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
+        for name, item in value.items():
+            dotted = f"{key}.{name}" if key else name
+            if name not in default:
+                raise ConfigError(f"{dotted} is not a known key")
+            _check_types(item, default[name], dotted)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        for index, item in enumerate(value):
+            _check_types(item, default[0], f"{key}[{index}]")
+    else:
+        accepted, description = _TYPES[type(default)]
+        if type(value) not in accepted:
+            raise ConfigError(f"{key} must be {description}, got {value!r}")
+
+
+def _validate(config: dict) -> None:
+    """Check a resolved configuration; errors name the offending key."""
+    _check_types(config, DEFAULTS, "")
+    for key, (low, high) in _BOUNDS.items():
+        value = config
+        for part in key.split("."):
+            value = value[part]
+        if not low <= value <= high:
+            raise ConfigError(f"{key} must be in [{low}, {high}], got {value!r}")
+    # The dataset fixes input_dim when a run starts; any valid one will do.
+    build_reservoir_config(config, input_dim=1)
+    build_ip_config(config)
+    build_grid_spec(config)
+
+
 def resolve_config(
     path=None,
     preset: str | None = None,
@@ -180,11 +168,12 @@ def resolve_config(
     workers: int | None = None,
     dataset: str | None = None,
 ) -> dict:
-    """Produce the fully resolved configuration dictionary.
+    """Produce the fully resolved and validated configuration dictionary.
 
     `path` points to an optional JSON file; `preset` overrides the
     file's own preset key. `seed`, `workers`, and `dataset` are flag
     values and take priority over everything, environment included.
+    Raises ConfigError naming the dotted key of the first bad value.
     """
     file_config = {}
     if path is not None:
@@ -193,16 +182,13 @@ def resolve_config(
                 file_config = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-        try:
-            jsonschema.validate(file_config, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            where = ".".join(str(p) for p in exc.absolute_path) or "(top level)"
-            raise ConfigError(f"{path}: {where}: {exc.message}") from exc
+        if not isinstance(file_config, dict):
+            raise ConfigError(f"{path}: the top level must be an object")
 
     resolved = copy.deepcopy(DEFAULTS)
     preset_name = preset if preset is not None else file_config.get("preset")
     if preset_name is not None:
-        if preset_name not in PRESETS:
+        if not isinstance(preset_name, str) or preset_name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {preset_name!r}; available: {sorted(PRESETS)}"
             )
@@ -225,13 +211,28 @@ def resolve_config(
         resolved["workers"] = workers
     if dataset is not None:
         resolved["dataset"] = dataset
+    _validate(resolved)
     return resolved
+
+
+@contextmanager
+def _section_errors(section: str):
+    """Re-raise a dataclass ValueError as a ConfigError naming its key.
+
+    Every check of ReservoirConfig, IpConfig, GridSpec and
+    clip_radius_target starts its message with the name of the field,
+    which is also the key of the value inside `section`.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def build_reservoir_config(config: dict, input_dim: int) -> ReservoirConfig:
     """Turn the reservoir section into a validated ReservoirConfig."""
     r = config["reservoir"]
-    try:
+    with _section_errors("reservoir"):
         return ReservoirConfig(
             input_dim=input_dim,
             n_layers=r["n_layers"],
@@ -242,36 +243,21 @@ def build_reservoir_config(config: dict, input_dim: int) -> ReservoirConfig:
             connectivity=r["connectivity"],
             seed=config["seed"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def build_ip_config(config: dict) -> IpConfig | None:
-    """IpConfig from the ip section, or None when adaptation is off."""
-    section = config["ip"]
-    if not section["enabled"]:
-        return None
-    try:
-        return IpConfig(
-            target_mean=section["target_mean"],
-            target_std=section["target_std"],
-            learning_rate=section["learning_rate"],
-            epochs=section["epochs"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """IpConfig from the ip section, or None when adaptation is off.
+
+    The section's values are checked either way.
+    """
+    settings = dict(config["ip"])
+    enabled = settings.pop("enabled")
+    with _section_errors("ip"):
+        ip = IpConfig(**settings)
+    return ip if enabled else None
 
 
 def build_grid_spec(config: dict) -> GridSpec:
     """GridSpec from the grid section."""
-    g = config["grid"]
-    try:
-        return GridSpec(
-            spectral_radii=tuple(g["spectral_radii"]),
-            leaky_rates=tuple(g["leaky_rates"]),
-            input_scalings=tuple(g["input_scalings"]),
-            ridges=tuple(g["ridges"]),
-            n_guesses=g["n_guesses"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _section_errors("grid"):
+        return GridSpec(**config["grid"])

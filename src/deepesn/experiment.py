@@ -110,23 +110,6 @@ def _prepare(dataset, config, ip, washout):
     return accumulator, train_pairs, valid_pairs, test_pairs
 
 
-def _solve_and_score(
-    accumulator, train_pairs, valid_pairs, test_pairs, ridge, threshold,
-    tune_threshold,
-):
-    readout = accumulator.solve(ridge)
-    if tune_threshold:
-        readout.threshold = choose_threshold(readout.weights, valid_pairs)
-    else:
-        readout.threshold = threshold
-    return (
-        evaluate_readout(readout, train_pairs),
-        evaluate_readout(readout, valid_pairs),
-        evaluate_readout(readout, test_pairs),
-        readout.threshold,
-    )
-
-
 def run_model(
     dataset: PianoRollDataset,
     config: ReservoirConfig,
@@ -137,18 +120,9 @@ def run_model(
     tune_threshold: bool = False,
 ) -> TrialResult:
     """Train one model end to end and score all three splits."""
-    start = time.perf_counter()
-    prepared = _prepare(dataset, config, ip, washout)
-    train_acc, valid_acc, test_acc, chosen = _solve_and_score(
-        *prepared, ridge, threshold, tune_threshold
-    )
-    return TrialResult(
-        train_acc=train_acc,
-        valid_acc=valid_acc,
-        test_acc=test_acc,
-        threshold=chosen,
-        seconds=time.perf_counter() - start,
-    )
+    return sweep_ridges(
+        dataset, config, (ridge,), ip, washout, threshold, tune_threshold
+    )[0]
 
 
 def sweep_ridges(
@@ -168,20 +142,24 @@ def sweep_ridges(
     solve and evaluation time.
     """
     start = time.perf_counter()
-    prepared = _prepare(dataset, config, ip, washout)
+    accumulator, train_pairs, valid_pairs, test_pairs = _prepare(
+        dataset, config, ip, washout
+    )
     shared = time.perf_counter() - start
     results = []
     for ridge in ridges:
         start = time.perf_counter()
-        train_acc, valid_acc, test_acc, chosen = _solve_and_score(
-            *prepared, ridge, threshold, tune_threshold
-        )
+        readout = accumulator.solve(ridge)
+        if tune_threshold:
+            readout.threshold = choose_threshold(readout.weights, valid_pairs)
+        else:
+            readout.threshold = threshold
         results.append(
             TrialResult(
-                train_acc=train_acc,
-                valid_acc=valid_acc,
-                test_acc=test_acc,
-                threshold=chosen,
+                train_acc=evaluate_readout(readout, train_pairs),
+                valid_acc=evaluate_readout(readout, valid_pairs),
+                test_acc=evaluate_readout(readout, test_pairs),
+                threshold=readout.threshold,
                 seconds=shared + time.perf_counter() - start,
             )
         )

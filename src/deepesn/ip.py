@@ -101,11 +101,7 @@ def pretrain_ip(
             for t in range(inputs.shape[0]):
                 drive = inputs[t]
                 for i, layer in enumerate(reservoir.layers):
-                    net = layer.preactivation(states[i], drive)
-                    y = np.tanh(layer.gain * net + layer.bias)
-                    states[i] = (1.0 - layer.leaky_rate) * states[i] + (
-                        layer.leaky_rate * y
-                    )
+                    states[i], net, y = layer.update(states[i], drive)
                     layer.gain, layer.bias = ip_update(
                         layer.gain, layer.bias, net, y, config
                     )
@@ -133,12 +129,7 @@ def activation_statistics(
         for t in range(inputs.shape[0]):
             drive = inputs[t]
             for i, layer in enumerate(reservoir.layers):
-                y = np.tanh(
-                    layer.gain * layer.preactivation(states[i], drive) + layer.bias
-                )
-                states[i] = (1.0 - layer.leaky_rate) * states[i] + (
-                    layer.leaky_rate * y
-                )
+                states[i], _, y = layer.update(states[i], drive)
                 sums[i] += y
                 sq_sums[i] += y * y
                 drive = states[i]

@@ -1,8 +1,10 @@
 """Spectral radius and operator 2-norm estimation for reservoir matrices.
 
 Small matrices are handled with dense LAPACK routines; large ones with
-seeded power iteration plus sparse-eigensolver and dense fallbacks, so
-that results are deterministic for a fixed input.
+seeded iterative solvers (power iteration and ARPACK for radii, a
+sparse SVD for norms) plus dense fallbacks, so that results are
+deterministic for a fixed input. Every fallback is logged at DEBUG
+level on this module's logger.
 """
 
 from __future__ import annotations
@@ -146,9 +148,8 @@ def spectral_radius(matrix, rtol: float = 1e-6) -> float:
 def operator_norm(matrix, rtol: float = 1e-6) -> float:
     """Largest singular value of a dense or sparse matrix.
 
-    Small and thin matrices use a dense SVD. Larger ones use power
-    iteration on M^T M, whose dominant eigenvalue is real and
-    non-negative, with sparse-SVD and dense fallbacks.
+    Small and thin matrices use a dense SVD. Larger ones use a seeded
+    sparse SVD, with a dense SVD as the fallback.
     """
     if sp.issparse(matrix):
         shape = matrix.shape
@@ -164,18 +165,11 @@ def operator_norm(matrix, rtol: float = 1e-6) -> float:
         dense = matrix.toarray() if sp.issparse(matrix) else matrix
         return float(np.linalg.svd(dense, compute_uv=False)[0])
 
-    matvec, rmatvec, _ = _as_linear_operator(matrix)
-    gram = lambda v: rmatvec(matvec(v))  # noqa: E731
-    estimate = _power_iteration_radius(gram, n, rtol)
-    if estimate is not None:
-        return float(np.sqrt(estimate))
-
-    logger.debug("power iteration on M^T M did not converge; trying sparse SVD")
     try:
-        k = 1
         vals = scipy.sparse.linalg.svds(
             matrix,
-            k=k,
+            k=1,
+            tol=rtol,
             return_singular_vectors=False,
             v0=np.random.default_rng(0).standard_normal(min(m, n)),
         )

@@ -127,14 +127,21 @@ class ReservoirLayer:
     def units(self) -> int:
         return self.feed.shape[0]
 
-    def preactivation(self, state: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """Net input F drive + W state, before gain, bias, and tanh."""
-        return self.feed @ drive + self.recurrent @ state
+    def update(
+        self, state: np.ndarray, drive: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step of the layer equation: (new state, net, y).
+
+        `net` is the net input F drive + W state, before gain and bias;
+        `y` the tanh output that the leak mixes into the state.
+        """
+        net = self.feed @ drive + self.recurrent @ state
+        y = np.tanh(self.gain * net + self.bias)
+        return (1.0 - self.leaky_rate) * state + self.leaky_rate * y, net, y
 
     def step(self, state: np.ndarray, drive: np.ndarray) -> np.ndarray:
         """Advance the layer state by one time step."""
-        y = np.tanh(self.gain * self.preactivation(state, drive) + self.bias)
-        return (1.0 - self.leaky_rate) * state + self.leaky_rate * y
+        return self.update(state, drive)[0]
 
 
 @dataclass

@@ -17,14 +17,14 @@ networks train everything) and size networks to a parameter budget.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import product
 from multiprocessing import Pool
 
 import numpy as np
 
 from .data import PianoRollDataset
-from .experiment import TrialResult, sweep_ridges
+from .experiment import sweep_ridges
 from .ip import IpConfig
 from .reservoir import ReservoirConfig
 
@@ -52,8 +52,13 @@ _RADIUS_MARGIN = 1e-6
 
 
 def clip_radius_target(value: float) -> float:
-    """Map a grid radius in (0, 1] to a valid target in (0, 1)."""
-    if value >= 1.0:
+    """Map a grid radius in (0, 1] to a valid target in (0, 1).
+
+    Raises ValueError for a radius outside (0, 1].
+    """
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"spectral_radius must be in (0, 1], got {value}")
+    if value == 1.0:
         logger.info(
             "spectral radius %g is on the stability boundary; using %g",
             value,
@@ -80,13 +85,13 @@ class GridSpec:
                 raise ValueError(f"{name} must not be empty")
         for rho in self.spectral_radii:
             if not 0.0 < rho <= 1.0:
-                raise ValueError(f"spectral radii must be in (0, 1], got {rho}")
+                raise ValueError(f"spectral_radii must be in (0, 1], got {rho}")
         for a in self.leaky_rates:
             if not 0.0 < a <= 1.0:
-                raise ValueError(f"leaky rates must be in (0, 1], got {a}")
+                raise ValueError(f"leaky_rates must be in (0, 1], got {a}")
         for s in self.input_scalings:
             if s <= 0.0:
-                raise ValueError(f"input scalings must be > 0, got {s}")
+                raise ValueError(f"input_scalings must be > 0, got {s}")
         for r in self.ridges:
             if r < 0.0:
                 raise ValueError(f"ridges must be >= 0, got {r}")
@@ -130,22 +135,9 @@ class TrialReport:
 
     def to_dict(self) -> dict:
         """JSON-ready record; wall-clock time sits under 'timing'."""
-        return {
-            "config_index": self.config_index,
-            "spectral_radius": self.spectral_radius,
-            "leaky_rate": self.leaky_rate,
-            "input_scaling": self.input_scaling,
-            "ridge": self.ridge,
-            "guess": self.guess,
-            "seed": self.seed,
-            "status": self.status,
-            "error": self.error,
-            "train_acc": self.train_acc,
-            "valid_acc": self.valid_acc,
-            "test_acc": self.test_acc,
-            "threshold": self.threshold,
-            "timing": {"seconds": self.seconds},
-        }
+        record = asdict(self)
+        record["timing"] = {"seconds": record.pop("seconds")}
+        return record
 
 
 @dataclass(frozen=True)
@@ -163,17 +155,7 @@ class BestConfig:
     n_guesses_ok: int
 
     def to_dict(self) -> dict:
-        return {
-            "config_index": self.config_index,
-            "spectral_radius": self.spectral_radius,
-            "leaky_rate": self.leaky_rate,
-            "input_scaling": self.input_scaling,
-            "ridge": self.ridge,
-            "mean_valid_acc": self.mean_valid_acc,
-            "mean_test_acc": self.mean_test_acc,
-            "std_test_acc": self.std_test_acc,
-            "n_guesses_ok": self.n_guesses_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -301,18 +283,8 @@ def grid_search(
                 seed=seed,
             )
             if status == "ok":
-                result: TrialResult = payload[ridge_index]
-                trials.append(
-                    TrialReport(
-                        status="ok",
-                        train_acc=result.train_acc,
-                        valid_acc=result.valid_acc,
-                        test_acc=result.test_acc,
-                        threshold=result.threshold,
-                        seconds=result.seconds,
-                        **common,
-                    )
-                )
+                scores = asdict(payload[ridge_index])
+                trials.append(TrialReport(status="ok", **scores, **common))
             else:
                 trials.append(TrialReport(status="failed", error=payload, **common))
     trials.sort(key=lambda t: (t.config_index, t.guess))

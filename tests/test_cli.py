@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -47,6 +48,77 @@ SMALL = {
         "n_guesses": 2,
     },
 }
+
+
+# One case per rule a configuration file can break: (id, file content,
+# pattern the error message must match once the file's path is removed).
+REJECTED_CONFIGS = [
+    ("top-level-list", [1], r"top level"),
+    ("section-not-object", {"reservoir": 5}, r"reservoir"),
+    ("unknown-top-level", {"bogus": 1}, r"bogus"),
+    ("unknown-reservoir", {"reservoir": {"bogus": 1}}, r"reservoir.*bogus"),
+    ("unknown-ip", {"ip": {"bogus": 1}}, r"ip.*bogus"),
+    ("unknown-readout", {"readout": {"bogus": 1}}, r"readout.*bogus"),
+    ("unknown-grid", {"grid": {"bogus": 1}}, r"grid.*bogus"),
+    ("preset-not-string", {"preset": 5}, r"preset"),
+    ("dataset-not-string", {"dataset": 5}, r"dataset"),
+    ("string-for-number", {"reservoir": {"leaky_rate": "0.5"}},
+     r"reservoir\.leaky_rate"),
+    ("bool-for-integer", {"reservoir": {"n_layers": True}},
+     r"reservoir\.n_layers"),
+    ("enabled-not-bool", {"ip": {"enabled": 1}}, r"ip\.enabled"),
+    ("tune-threshold-not-bool", {"readout": {"tune_threshold": "yes"}},
+     r"readout\.tune_threshold"),
+    ("grid-entry-not-list", {"grid": {"ridges": 0.1}}, r"grid\.ridges"),
+    ("grid-item-not-number", {"grid": {"ridges": ["a"]}}, r"grid\.ridges"),
+    ("seed-minimum", {"seed": -1}, r"seed"),
+    ("workers-minimum", {"workers": 0}, r"workers"),
+    ("washout-minimum", {"washout": -1}, r"washout"),
+    ("n-layers-minimum", {"reservoir": {"n_layers": 0}}, r"reservoir\.n_layers"),
+    ("units-minimum", {"reservoir": {"units_per_layer": 0}},
+     r"reservoir\.units_per_layer"),
+    ("leaky-rate-exclusive-minimum", {"reservoir": {"leaky_rate": 0}},
+     r"reservoir\.leaky_rate"),
+    ("leaky-rate-maximum", {"reservoir": {"leaky_rate": 1.5}},
+     r"reservoir\.leaky_rate"),
+    ("radius-exclusive-minimum", {"reservoir": {"spectral_radius": 0}},
+     r"reservoir\.spectral_radius"),
+    ("radius-maximum", {"reservoir": {"spectral_radius": 1.5}},
+     r"reservoir\.spectral_radius"),
+    ("input-scaling-exclusive-minimum", {"reservoir": {"input_scaling": 0}},
+     r"reservoir\.input_scaling"),
+    ("connectivity-exclusive-minimum", {"reservoir": {"connectivity": 0}},
+     r"reservoir\.connectivity"),
+    ("connectivity-maximum", {"reservoir": {"connectivity": 1.5}},
+     r"reservoir\.connectivity"),
+    ("target-std-exclusive-minimum", {"ip": {"target_std": 0}},
+     r"ip\.target_std"),
+    ("learning-rate-exclusive-minimum", {"ip": {"learning_rate": 0}},
+     r"ip\.learning_rate"),
+    ("epochs-minimum", {"ip": {"epochs": 0}}, r"ip\.epochs"),
+    ("ridge-minimum", {"readout": {"ridge": -1}}, r"readout\.ridge"),
+    ("threshold-minimum", {"readout": {"threshold": -0.1}},
+     r"readout\.threshold"),
+    ("threshold-maximum", {"readout": {"threshold": 1.1}},
+     r"readout\.threshold"),
+    ("grid-radius-exclusive-minimum", {"grid": {"spectral_radii": [0]}},
+     r"grid\.spectral_radii"),
+    ("grid-radius-maximum", {"grid": {"spectral_radii": [1.5]}},
+     r"grid\.spectral_radii"),
+    ("grid-leaky-rate-exclusive-minimum", {"grid": {"leaky_rates": [0]}},
+     r"grid\.leaky_rates"),
+    ("grid-leaky-rate-maximum", {"grid": {"leaky_rates": [1.5]}},
+     r"grid\.leaky_rates"),
+    ("grid-input-scaling-exclusive-minimum", {"grid": {"input_scalings": [0]}},
+     r"grid\.input_scalings"),
+    ("grid-ridge-minimum", {"grid": {"ridges": [-1]}}, r"grid\.ridges"),
+    ("n-guesses-minimum", {"grid": {"n_guesses": 0}}, r"grid\.n_guesses"),
+    ("empty-radii", {"grid": {"spectral_radii": []}}, r"grid\.spectral_radii"),
+    ("empty-leaky-rates", {"grid": {"leaky_rates": []}}, r"grid\.leaky_rates"),
+    ("empty-input-scalings", {"grid": {"input_scalings": []}},
+     r"grid\.input_scalings"),
+    ("empty-ridges", {"grid": {"ridges": []}}, r"grid\.ridges"),
+]
 
 
 class TestResolveConfig:
@@ -108,6 +180,29 @@ class TestResolveConfig:
     def test_rejects_unknown_key(self, tmp_path):
         path = write_config(tmp_path, {"bogus": 1})
         with pytest.raises(ConfigError, match="bogus"):
+            resolve_config(path, env={})
+
+    @pytest.mark.parametrize(
+        "obj, pattern",
+        [case[1:] for case in REJECTED_CONFIGS],
+        ids=[case[0] for case in REJECTED_CONFIGS],
+    )
+    def test_rejection_table(self, tmp_path, obj, pattern):
+        path = write_config(tmp_path, obj)
+        with pytest.raises(ConfigError) as info:
+            resolve_config(path, env={})
+        assert re.search(pattern, str(info.value).replace(path, ""))
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [({"reservoir": {"n_layers": 2.0}}, "reservoir.n_layers"),
+         ({"seed": 3.0}, "seed")],
+        ids=["n_layers", "seed"],
+    )
+    def test_rejects_integral_float(self, tmp_path, obj, key):
+        # JSON Schema counts 2.0 as an integer; the reservoir cannot
+        path = write_config(tmp_path, obj)
+        with pytest.raises(ConfigError, match=re.escape(key)):
             resolve_config(path, env={})
 
     def test_rejects_bad_json(self, tmp_path):
@@ -227,6 +322,23 @@ class TestMainCommands:
         cfg = write_config(tmp_path, {"bogus": True})
         assert main(["run", dataset_file, "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "command, flags, env, key",
+        [("run", ["--seed", "-1"], {}, "seed"),
+         ("grid", ["--workers", "0"], {}, "workers"),
+         ("grid", [], {"DEEPESN_WORKERS": "-3"}, "workers")],
+        ids=["seed-flag", "workers-flag", "workers-env"],
+    )
+    def test_bad_flag_or_env_exits_2(
+        self, dataset_file, tmp_path, capsys, monkeypatch, command, flags, env,
+        key,
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg = write_config(tmp_path, SMALL)
+        assert main([command, dataset_file, "--config", cfg, *flags]) == 2
+        assert key in capsys.readouterr().err
+
     def test_runtime_failure_exits_1(self, dataset_file, tmp_path, capsys):
         # 5 units at 1% connectivity leaves zero recurrent weights,
         # which only surfaces when the reservoir is built
@@ -246,3 +358,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["valid"] is True
+
+    def test_config_errors_without_jsonschema(self, tmp_path):
+        cfg = write_config(tmp_path, {"reservoir": {"n_layers": 0}})
+        script = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None\n"
+            "import deepesn.cli\n"
+            "from deepesn.config import resolve_config\n"
+            "from deepesn.errors import ConfigError\n"
+            "try:\n"
+            "    resolve_config(sys.argv[1], env={})\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    sys.exit('no ConfigError')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cfg],
+            env=cli_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "reservoir.n_layers" in proc.stdout

@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
-from deepesn.linalg import operator_norm, spectral_radius
+from deepesn.linalg import _ARNOLDI_FIRST_MIN, operator_norm, spectral_radius
 
 
 class TestSpectralRadius:
@@ -70,3 +73,68 @@ class TestOperatorNorm:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             operator_norm(np.ones(5))
+
+
+def _fail(*args, **kwargs):
+    raise RuntimeError("forced solver failure")
+
+
+def _linalg_records(caplog):
+    return [r for r in caplog.records if r.name == "deepesn.linalg"]
+
+
+class TestFallbacksAreLogged:
+    """Every numerical fallback leaves one DEBUG record; normal paths none.
+
+    The benchmark counts these records, telling norm fallbacks (message
+    contains "SVD") from radius fallbacks.
+    """
+
+    @pytest.fixture(autouse=True)
+    def debug_logs(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="deepesn.linalg")
+
+    @pytest.fixture
+    def large_square(self):
+        # Nonnegative entries give a simple real dominant eigenvalue, so
+        # the power iteration after a failed ARPACK call converges.
+        n = _ARNOLDI_FIRST_MIN + 76
+        w = sp.random(n, n, density=0.01, random_state=6, format="csr")
+        return (0.5 * sp.identity(n, format="csr") + 0.5 * w).tocsr()
+
+    @pytest.fixture
+    def large_rectangle(self):
+        # Above the dense-SVD size limit of operator_norm.
+        return sp.random(1600, 1500, density=0.01, random_state=7, format="csr")
+
+    def test_radius_normal_path_is_silent(self, large_square, caplog):
+        spectral_radius(large_square)
+        spectral_radius(np.diag([1.0, -2.0]))
+        assert _linalg_records(caplog) == []
+
+    def test_norm_normal_path_is_silent(self, large_rectangle, caplog):
+        operator_norm(large_rectangle)
+        operator_norm(np.ones((3, 2)))
+        assert _linalg_records(caplog) == []
+
+    def test_radius_arpack_failure_is_logged(
+        self, large_square, caplog, monkeypatch
+    ):
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", _fail)
+        expected = float(np.max(np.abs(np.linalg.eigvals(large_square.toarray()))))
+        assert spectral_radius(large_square) == pytest.approx(expected, rel=1e-5)
+        records = _linalg_records(caplog)
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "SVD" not in records[0].getMessage()
+
+    def test_norm_svds_failure_is_logged(
+        self, large_rectangle, caplog, monkeypatch
+    ):
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", _fail)
+        expected = float(np.linalg.svd(large_rectangle.toarray(), compute_uv=False)[0])
+        assert operator_norm(large_rectangle) == pytest.approx(expected, rel=1e-10)
+        records = _linalg_records(caplog)
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert "SVD" in records[0].getMessage()
