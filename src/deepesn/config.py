@@ -180,7 +180,7 @@ def resolve_config(
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 file_config = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(file_config, dict):
             raise ConfigError(f"{path}: the top level must be an object")

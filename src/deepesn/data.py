@@ -132,7 +132,7 @@ def load_dataset(path) -> PianoRollDataset:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     validate_dataset_obj(obj)
     return PianoRollDataset(name=obj["name"], dim=obj["dim"], splits=obj["splits"])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PianoRollDataset, next_step_pairs
+from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
 from .metrics import pooled_accuracy
 from .readout import RidgeAccumulator, RidgeReadout, binarize
@@ -96,8 +97,10 @@ def choose_threshold(
 
 def _prepare(dataset, config, ip, washout):
     """Build, optionally pre-train, and collect states for all splits."""
-    reservoir = init_deep_reservoir(config)
     train_dense = dataset.dense("train")
+    if all(seq.shape[0] - 1 <= washout for seq in train_dense):
+        raise ConfigError(f"washout {washout} leaves no training step to fit on")
+    reservoir = init_deep_reservoir(config)
     if ip is not None:
         drives = [seq[:-1] for seq in train_dense if seq.shape[0] > 1]
         pretrain_ip(reservoir, drives, ip)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import DeepReservoir
+from .reservoir import DeepReservoir, walk
 
 logger = logging.getLogger(__name__)
 
@@ -89,23 +89,20 @@ def pretrain_ip(
     """Adapt every layer's gain and bias on the given input sequences.
 
     Runs `config.epochs` passes over the sequences in the order given.
-    Each sequence starts from the zero state. Within a time step the
-    layers are processed bottom-up: a layer computes its output with
-    its current parameters, passes its fresh state upward, and only
-    then updates. The reservoir is modified in place and returned.
+    Each sequence starts from the zero state. After every time step of
+    the bottom-up walk, each layer adapts with the output it just
+    computed with its current parameters. A layer's step reads only its
+    own parameters and the fresh state of the layer below, so this is
+    the same as adapting each layer before the next one steps. The
+    reservoir is modified in place and returned.
     """
     for _ in range(config.epochs):
         for inputs in sequences:
-            inputs = np.asarray(inputs, dtype=float)
-            states = reservoir.initial_states()
-            for t in range(inputs.shape[0]):
-                drive = inputs[t]
-                for i, layer in enumerate(reservoir.layers):
-                    states[i], net, y = layer.update(states[i], drive)
+            for _, nets, ys in walk(reservoir, np.asarray(inputs, dtype=float)):
+                for layer, net, y in zip(reservoir.layers, nets, ys):
                     layer.gain, layer.bias = ip_update(
                         layer.gain, layer.bias, net, y, config
                     )
-                    drive = states[i]
     return reservoir
 
 
@@ -124,16 +121,11 @@ def activation_statistics(
     sq_sums = np.zeros(shape)
     count = 0
     for inputs in sequences:
-        inputs = np.asarray(inputs, dtype=float)
-        states = reservoir.initial_states()
-        for t in range(inputs.shape[0]):
-            drive = inputs[t]
-            for i, layer in enumerate(reservoir.layers):
-                states[i], _, y = layer.update(states[i], drive)
-                sums[i] += y
-                sq_sums[i] += y * y
-                drive = states[i]
-        count += inputs.shape[0]
+        for _, _, ys in walk(reservoir, np.asarray(inputs, dtype=float)):
+            ys = np.array(ys)
+            sums += ys
+            sq_sums += ys * ys
+            count += 1
     if count == 0:
         raise ValueError("no time steps to compute activation statistics from")
     means = sums / count

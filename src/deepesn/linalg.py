@@ -35,32 +35,17 @@ _ARNOLDI_FIRST_MIN = 1024
 _DENSE_FALLBACK_MAX = 8192
 
 
-def _as_linear_operator(matrix):
-    """Return (matvec, rmatvec, shape) for a dense array or sparse matrix."""
-    if sp.issparse(matrix):
-        csr = matrix.tocsr()
-        csc = csr.tocsc().T.tocsr()  # transpose once, kept in row form
-        return (lambda v: csr @ v), (lambda v: csc @ v), csr.shape
-    arr = np.asarray(matrix, dtype=float)
-    return (lambda v: arr @ v), (lambda v: arr.T @ v), arr.shape
-
-
-def _power_iteration_radius(matvec, n, rtol):
+def _power_iteration_radius(matrix, n, rtol):
     """Estimate |lambda_max| by power iteration with seeded restarts.
 
     Returns None when no restart converges, which happens for instance
     when the dominant eigenvalues form a complex-conjugate pair.
     """
     for restart in range(_POWER_RESTARTS):
-        rng = np.random.default_rng(restart)
-        v = rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        v /= norm
-        estimate = 0.0
+        v = np.random.default_rng(restart).standard_normal(n)
+        v /= np.linalg.norm(v)
         for _ in range(_POWER_MAX_ITER):
-            w = matvec(v)
+            w = matrix @ v
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 return 0.0
@@ -99,44 +84,33 @@ def _arnoldi_radius(matrix, n, rtol):
 def spectral_radius(matrix, rtol: float = 1e-6) -> float:
     """Largest eigenvalue magnitude of a square dense or sparse matrix.
 
-    Matrices of order <= 64 use a dense eigendecomposition. Moderate ones
-    use power iteration with an ARPACK fallback for complex dominant
-    pairs; large ones go to ARPACK first, where power iteration would
-    stall on a near-degenerate dominant magnitude. A dense decomposition
-    is the last resort before raising NumericalError.
+    Matrices of order <= 64 use a dense eigendecomposition. Larger ones
+    try power iteration, then ARPACK for complex dominant pairs; above
+    order 1024 ARPACK goes first, where power iteration would stall on
+    a near-degenerate dominant magnitude. Each failed estimator logs
+    one DEBUG record. A dense decomposition is the last resort before
+    raising NumericalError.
     """
     if sp.issparse(matrix):
-        shape = matrix.shape
+        matrix = matrix.tocsr()
     else:
         matrix = np.asarray(matrix, dtype=float)
-        shape = matrix.shape
+    shape = matrix.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"spectral radius needs a square matrix, got shape {shape}")
     n = shape[0]
     if n == 0:
         return 0.0
-    if n <= _DENSE_EIG_MAX:
-        dense = matrix.toarray() if sp.issparse(matrix) else matrix
-        return float(np.max(np.abs(np.linalg.eigvals(dense))))
-
-    if n > _ARNOLDI_FIRST_MIN:
-        estimate = _arnoldi_radius(matrix, n, rtol)
-        if estimate is not None:
-            return estimate
-        logger.debug("ARPACK failed; trying power iteration")
-
-    matvec, _, _ = _as_linear_operator(matrix)
-    estimate = _power_iteration_radius(matvec, n, rtol)
-    if estimate is not None:
-        return estimate
-
-    if n <= _ARNOLDI_FIRST_MIN:
-        logger.debug("power iteration did not converge; falling back to ARPACK")
-        estimate = _arnoldi_radius(matrix, n, rtol)
-        if estimate is not None:
-            return estimate
-
-    logger.debug("iterative estimates failed; falling back to dense eigendecomposition")
+    if n > _DENSE_EIG_MAX:
+        estimators = [("power iteration", _power_iteration_radius),
+                      ("ARPACK", _arnoldi_radius)]
+        if n > _ARNOLDI_FIRST_MIN:
+            estimators.reverse()
+        for name, estimator in estimators:
+            estimate = estimator(matrix, n, rtol)
+            if estimate is not None:
+                return estimate
+            logger.debug("%s failed on a %dx%d matrix; falling back", name, n, n)
     if n <= _DENSE_FALLBACK_MAX:
         dense = matrix.toarray() if sp.issparse(matrix) else matrix
         return float(np.max(np.abs(np.linalg.eigvals(dense))))
@@ -151,11 +125,9 @@ def operator_norm(matrix, rtol: float = 1e-6) -> float:
     Small and thin matrices use a dense SVD. Larger ones use a seeded
     sparse SVD, with a dense SVD as the fallback.
     """
-    if sp.issparse(matrix):
-        shape = matrix.shape
-    else:
+    if not sp.issparse(matrix):
         matrix = np.asarray(matrix, dtype=float)
-        shape = matrix.shape
+    shape = matrix.shape
     if len(shape) != 2:
         raise ValueError(f"operator norm needs a 2-d matrix, got shape {shape}")
     m, n = shape

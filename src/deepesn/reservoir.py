@@ -37,6 +37,7 @@ __all__ = [
     "init_deep_reservoir",
     "effective_matrix",
     "rescale_recurrent",
+    "walk",
     "step_deep",
     "run_sequence",
 ]
@@ -264,21 +265,39 @@ def init_deep_reservoir(config: ReservoirConfig) -> DeepReservoir:
     return DeepReservoir(config=config, layers=layers)
 
 
+def walk(reservoir: DeepReservoir, inputs, states=None):
+    """Run the stack bottom-up over `inputs`, one step per row.
+
+    Yields (states, nets, ys) after each row: per layer, the new state,
+    the net input before gain and bias, and the tanh output. Layer 1 is
+    driven by the input row, layer l by the state layer l - 1 reached
+    in the same step. Gains and biases are read when each step is
+    computed, so a caller may adapt them between steps. The walk starts
+    from rest unless `states` gives one state per layer. Every step
+    yields fresh lists.
+    """
+    if states is None:
+        states = reservoir.initial_states()
+    for drive in inputs:
+        new_states, nets, ys = [], [], []
+        for layer, state in zip(reservoir.layers, states):
+            drive, net, y = layer.update(state, drive)
+            new_states.append(drive)
+            nets.append(net)
+            ys.append(y)
+        states = new_states
+        yield states, nets, ys
+
+
 def step_deep(
     reservoir: DeepReservoir, states: list[np.ndarray], inputs: np.ndarray
 ) -> list[np.ndarray]:
     """Advance every layer by one step, feeding fresh states upward.
 
     The first layer sees the external input; layer l sees the state of
-    layer l - 1 computed in this same call.
+    layer l - 1 computed in this same call. This is one step of `walk`.
     """
-    new_states = []
-    drive = inputs
-    for layer, state in zip(reservoir.layers, states):
-        state = layer.step(state, drive)
-        new_states.append(state)
-        drive = state
-    return new_states
+    return next(walk(reservoir, (inputs,), states))[0]
 
 
 def run_sequence(
@@ -292,7 +311,8 @@ def run_sequence(
     `inputs` has shape (T, input_dim). The result has one row per
     retained step, shape (T - washout, n_layers * units_per_layer),
     with layer states concatenated in stack order. The first `washout`
-    steps are computed but not returned.
+    steps are computed but not returned. `initial_states`, one per
+    layer, replaces the rest state.
     """
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != reservoir.config.input_dim:
@@ -304,10 +324,8 @@ def run_sequence(
         raise ValueError(
             f"washout {washout} out of range for a {inputs.shape[0]}-step sequence"
         )
-    states = initial_states if initial_states is not None else reservoir.initial_states()
     out = np.empty((inputs.shape[0] - washout, reservoir.state_dim))
-    for t in range(inputs.shape[0]):
-        states = step_deep(reservoir, states, inputs[t])
+    for t, (states, _, _) in enumerate(walk(reservoir, inputs, initial_states)):
         if t >= washout:
             out[t - washout] = np.concatenate(states)
     return out

@@ -339,6 +339,24 @@ class TestMainCommands:
         assert main([command, dataset_file, "--config", cfg, *flags]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate-data", "run"])
+    def test_non_utf8_file_exits_2(self, dataset_file, tmp_path, capsys, command):
+        path = tmp_path / "noise.bin"
+        path.write_bytes(bytes(range(128, 256)))  # 0x80 cannot start UTF-8
+        if command == "validate-data":
+            argv = ["validate-data", str(path)]
+        else:
+            argv = ["run", dataset_file, "--config", str(path)]
+        assert main(argv) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_washout_without_training_step_exits_2(
+        self, dataset_file, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path, {**SMALL, "washout": 1000})
+        assert main(["run", dataset_file, "--config", cfg]) == 2
+        assert "washout" in capsys.readouterr().err
+
     def test_runtime_failure_exits_1(self, dataset_file, tmp_path, capsys):
         # 5 units at 1% connectivity leaves zero recurrent weights,
         # which only surfaces when the reservoir is built

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deepesn.data import make_synthetic_dataset, to_dense
+from deepesn.errors import ConfigError
 from deepesn.experiment import (
     THRESHOLD_GRID,
     choose_threshold,
@@ -119,3 +120,12 @@ class TestSweepRidges:
         ds = make_synthetic_dataset(seed=4)
         swept = sweep_ridges(ds, small_config(ds.dim), (1e-3, 1e-2, 1e-1))
         assert all(r.seconds > 0 for r in swept)
+
+    def test_washout_must_leave_a_training_step(self):
+        ds = make_synthetic_dataset(seed=4)
+        longest = max(seq.shape[0] for seq in ds.dense("train"))
+        cfg = small_config(ds.dim)
+        # a T-frame sequence gives T - 1 aligned steps
+        assert len(sweep_ridges(ds, cfg, (1e-3,), washout=longest - 2)) == 1
+        with pytest.raises(ConfigError, match="washout"):
+            sweep_ridges(ds, cfg, (1e-3,), washout=longest - 1)

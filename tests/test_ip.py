@@ -155,3 +155,81 @@ class TestActivationStatistics:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             activation_statistics(small_reservoir(), [])
+
+
+def reference_walk(layers, sequences, on_step):
+    """Per-step loop over the stack, written out against the matrices.
+
+    Calls `on_step(i, layer, net, y)` right after layer i's update and
+    before layer i + 1 steps, reading gain and bias from the layer each
+    time, as online IP does.
+    """
+    for inputs in sequences:
+        states = [np.zeros(layer.units) for layer in layers]
+        for t in range(inputs.shape[0]):
+            drive = inputs[t]
+            for i, layer in enumerate(layers):
+                a = layer.leaky_rate
+                net = layer.feed @ drive + layer.recurrent @ states[i]
+                y = np.tanh(layer.gain * net + layer.bias)
+                states[i] = (1.0 - a) * states[i] + a * y
+                on_step(i, layer, net, y)
+                drive = states[i]
+
+
+class TestReferenceLoop:
+    """pretrain_ip and activation_statistics equal a per-step loop bit for bit."""
+
+    CONFIG = IpConfig(learning_rate=0.05, epochs=2)
+
+    def leaky_reservoir(self):
+        return init_deep_reservoir(
+            ReservoirConfig(
+                input_dim=3, n_layers=3, units_per_layer=50, leaky_rate=0.5,
+                spectral_radius_target=0.9, input_scaling=1.0,
+                connectivity=0.2, seed=4,
+            )
+        )
+
+    def sequences(self):
+        rng = np.random.default_rng(5)
+        return [rng.uniform(-1, 1, size=(80, 3)) for _ in range(2)]
+
+    def test_pretrain_matches_reference(self, caplog):
+        seqs = self.sequences()
+        expected = self.leaky_reservoir()
+
+        def adapt(i, layer, net, y):
+            layer.gain, layer.bias = ip_update(
+                layer.gain, layer.bias, net, y, self.CONFIG
+            )
+
+        for _ in range(self.CONFIG.epochs):
+            reference_walk(expected.layers, seqs, adapt)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="deepesn.ip"):
+            actual = pretrain_ip(self.leaky_reservoir(), seqs, self.CONFIG)
+        assert any("clamped" in r.message for r in caplog.records)
+        for got, want in zip(actual.layers, expected.layers):
+            assert np.all(np.isfinite(got.gain))
+            assert np.array_equal(got.gain, want.gain)
+            assert np.array_equal(got.bias, want.bias)
+
+    def test_statistics_match_reference(self):
+        res = self.leaky_reservoir()
+        pretrain_ip(res, self.sequences(), IpConfig(epochs=1))
+        seqs = self.sequences()
+        sums = np.zeros((3, 50))
+        sq_sums = np.zeros((3, 50))
+
+        def accumulate(i, layer, net, y):
+            sums[i] += y
+            sq_sums[i] += y * y
+
+        reference_walk(res.layers, seqs, accumulate)
+        count = sum(s.shape[0] for s in seqs)
+        means = sums / count
+        stds = np.sqrt(np.maximum(sq_sums / count - means**2, 0.0))
+        got_means, got_stds = activation_statistics(res, seqs)
+        assert np.array_equal(got_means, means)
+        assert np.array_equal(got_stds, stds)

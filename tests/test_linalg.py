@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import deepesn.linalg
 from deepesn.linalg import _ARNOLDI_FIRST_MIN, operator_norm, spectral_radius
 
 
@@ -138,3 +139,69 @@ class TestFallbacksAreLogged:
         assert len(records) == 1
         assert records[0].levelno == logging.DEBUG
         assert "SVD" in records[0].getMessage()
+
+
+def _shifted_sparse(n, seed):
+    w = sp.random(n, n, density=0.01, random_state=seed, format="csr")
+    return (0.5 * sp.identity(n, format="csr") + 0.5 * w).tocsr()
+
+
+class TestEstimatorOrder:
+    """Which iterative estimator runs, in which order, and what is logged.
+
+    Both estimators are replaced by fakes that return a fixed value, or
+    None to report a failure; each failure leaves one DEBUG record.
+    """
+
+    MODERATE = 200
+    LARGE = _ARNOLDI_FIRST_MIN + 76
+
+    @pytest.fixture(autouse=True)
+    def debug_logs(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="deepesn.linalg")
+
+    def fake_estimators(self, monkeypatch, power, arpack):
+        calls = []
+
+        def fake(name, result):
+            def estimator(*args):
+                calls.append(name)
+                return result
+            return estimator
+
+        monkeypatch.setattr(
+            deepesn.linalg, "_power_iteration_radius", fake("power", power)
+        )
+        monkeypatch.setattr(deepesn.linalg, "_arnoldi_radius", fake("arpack", arpack))
+        return calls
+
+    @pytest.mark.parametrize(
+        "n, power, arpack, radius, expected_calls, n_records",
+        [
+            (MODERATE, 1.25, 2.5, 1.25, ["power"], 0),
+            (MODERATE, None, 2.5, 2.5, ["power", "arpack"], 1),
+            (LARGE, 1.25, 2.5, 2.5, ["arpack"], 0),
+            (LARGE, 1.25, None, 1.25, ["arpack", "power"], 1),
+        ],
+        ids=["moderate-power", "moderate-arpack", "large-arpack", "large-power"],
+    )
+    def test_order_and_records(
+        self, monkeypatch, caplog, n, power, arpack, radius, expected_calls,
+        n_records,
+    ):
+        calls = self.fake_estimators(monkeypatch, power, arpack)
+        assert spectral_radius(_shifted_sparse(n, 8)) == radius
+        assert calls == expected_calls
+        records = _linalg_records(caplog)
+        assert len(records) == n_records
+        assert all(r.levelno == logging.DEBUG for r in records)
+        assert all("SVD" not in r.getMessage() for r in records)
+
+    @pytest.mark.parametrize("n", [MODERATE, LARGE], ids=["moderate", "large"])
+    def test_both_fail_falls_back_to_dense(self, monkeypatch, caplog, n):
+        calls = self.fake_estimators(monkeypatch, None, None)
+        matrix = _shifted_sparse(n, 9)
+        expected = float(np.max(np.abs(np.linalg.eigvals(matrix.toarray()))))
+        assert spectral_radius(matrix) == expected
+        assert sorted(calls) == ["arpack", "power"]
+        assert len(_linalg_records(caplog)) == 2

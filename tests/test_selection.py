@@ -113,6 +113,18 @@ class TestGridSearch:
         assert keys == sorted(keys)
         assert {t.status for t in result.trials} == {"ok"}
 
+    def test_washout_without_training_step_fails_every_trial(self):
+        ds = make_synthetic_dataset(seed=3)
+        base = ReservoirConfig(input_dim=ds.dim, n_layers=1, units_per_layer=10)
+        grid = GridSpec(
+            spectral_radii=(0.5,), leaky_rates=(0.5,), input_scalings=(1.0,),
+            ridges=(1e-3,), n_guesses=2,
+        )
+        result = grid_search(ds, base, grid=grid, master_seed=7, washout=1000)
+        assert [t.status for t in result.trials] == ["failed", "failed"]
+        assert all("washout" in t.error for t in result.trials)
+        assert result.best is None
+
     def test_seed_shared_across_ridges(self):
         result = tiny_search()
         by_key = {(t.config_index, t.guess): t.seed for t in result.trials}
