@@ -177,6 +177,9 @@ def main(argv=None) -> int:
     try:
         report = {"schema": REPORT_SCHEMA, "kind": args.command, **args.func(args)}
         _write_report(report, args)
+        if args.command == "grid" and report["best"] is None:
+            print("error: no grid trial succeeded", file=sys.stderr)
+            return 1
         return 0
     except (
         ConfigError, DataFormatError, FileNotFoundError, IsADirectoryError

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PianoRollDataset, next_step_pairs
+from .data import SPLIT_NAMES, PianoRollDataset, next_step_pairs
 from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
 from .metrics import pooled_accuracy
@@ -97,16 +97,19 @@ def choose_threshold(
 
 def _prepare(dataset, config, ip, washout):
     """Build, optionally pre-train, and collect states for all splits."""
-    train_dense = dataset.dense("train")
-    if all(seq.shape[0] - 1 <= washout for seq in train_dense):
-        raise ConfigError(f"washout {washout} leaves no training step to fit on")
+    dense = {split: dataset.dense(split) for split in SPLIT_NAMES}
+    for split, sequences in dense.items():
+        if all(seq.shape[0] - 1 <= washout for seq in sequences):
+            raise ConfigError(
+                f"washout {washout} leaves no {split} step to fit or score on"
+            )
     reservoir = init_deep_reservoir(config)
     if ip is not None:
-        drives = [seq[:-1] for seq in train_dense if seq.shape[0] > 1]
+        drives = [seq[:-1] for seq in dense["train"] if seq.shape[0] > 1]
         pretrain_ip(reservoir, drives, ip)
-    train_pairs = collect_pairs(reservoir, train_dense, washout)
-    valid_pairs = collect_pairs(reservoir, dataset.dense("valid"), washout)
-    test_pairs = collect_pairs(reservoir, dataset.dense("test"), washout)
+    train_pairs, valid_pairs, test_pairs = (
+        collect_pairs(reservoir, sequences, washout) for sequences in dense.values()
+    )
     accumulator = RidgeAccumulator(reservoir.state_dim, dataset.dim)
     for states, targets in train_pairs:
         accumulator.add(states, targets)

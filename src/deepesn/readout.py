@@ -15,33 +15,60 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemm, dsyrk
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["RidgeAccumulator", "RidgeReadout", "ridge_solve", "binarize"]
 
+# Side of the square tiles in which the Gram's lower triangle is copied,
+# transposed, into the upper triangle of a solve's working array. On a
+# 2-CPU machine at n = 6001, tiles of 128 took 0.08 s, tiles of 32
+# 0.15 s and whole 256-column strips 0.18 s.
+_COPY_TILE = 128
+
 
 def ridge_solve(xtx: np.ndarray, xty: np.ndarray, ridge: float) -> np.ndarray:
     """Solve (X^T X + ridge I) W = X^T Y for W.
 
-    The regularizer is added to every diagonal entry, the bias feature
-    included. The system is symmetrized before factorization to shed
-    accumulation round-off; if the Cholesky factorization still fails,
-    a least-squares solve is used instead.
+    Only the upper triangle of `xtx` is read. The regularizer is added to
+    every diagonal entry, the bias feature included. The solve works on
+    one Fortran-order copy of `xtx`.
+    """
+    return _solve(lambda: np.array(xtx, dtype=float, order="F"), xty, ridge)
+
+
+def _solve(build, xty: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve the system whose Fortran-order copy of X^T X `build()` returns.
+
+    The copy's upper triangle is all that is read. It gets the ridge on
+    its diagonal and is factorized in place, so the solve holds one n^2
+    working array. If the Cholesky factorization fails, a least-squares
+    solve runs on a fresh copy made full and symmetric.
     """
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    a = xtx + ridge * np.eye(xtx.shape[0])
-    a = 0.5 * (a + a.T)
     try:
-        return cho_solve(cho_factor(a), xty)
+        factor = cho_factor(_add_ridge(build(), ridge), overwrite_a=True)
+        return cho_solve(factor, xty)
     except np.linalg.LinAlgError:
         logger.warning(
             "normal equations not positive definite at ridge=%g; "
             "falling back to least squares",
             ridge,
         )
+        a = _symmetric(_add_ridge(build(), ridge))
         return np.linalg.lstsq(a, xty, rcond=None)[0]
+
+
+def _add_ridge(a: np.ndarray, ridge: float) -> np.ndarray:
+    a.flat[:: a.shape[0] + 1] += ridge
+    return a
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """The full symmetric matrix that the upper triangle of `a` stands for."""
+    return np.triu(a) + np.triu(a, 1).T
 
 
 def binarize(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -65,7 +92,9 @@ class RidgeAccumulator:
             )
         self.state_dim = state_dim
         self.output_dim = output_dim
-        self.xtx = np.zeros((state_dim + 1, state_dim + 1))
+        # lower triangle of the state block of X^T X, updated in place
+        self._gram = np.zeros((state_dim, state_dim), order="F")
+        self._col_sums = np.zeros(state_dim)
         self.xty = np.zeros((state_dim + 1, output_dim))
         self.n_samples = 0
 
@@ -74,7 +103,8 @@ class RidgeAccumulator:
 
         `states` has shape (T, state_dim) and `targets` (T, output_dim).
         The bias blocks are updated without materializing the augmented
-        design matrix.
+        design matrix, and the state block by one in-place symmetric
+        rank-T update of its lower triangle.
         """
         states = np.asarray(states, dtype=float)
         targets = np.asarray(targets, dtype=float)
@@ -88,21 +118,47 @@ class RidgeAccumulator:
                 f"got {targets.shape}"
             )
         d = self.state_dim
-        col_sums = states.sum(axis=0)
-        self.xtx[:d, :d] += states.T @ states
-        self.xtx[:d, d] += col_sums
-        self.xtx[d, :d] += col_sums
-        self.xtx[d, d] += states.shape[0]
-        self.xty[:d] += states.T @ targets
+        # Both products go to scipy's BLAS, in place: c is float64 and
+        # F-contiguous, so f2py makes no copy of it. Switching between
+        # numpy's and scipy's BLAS thread pools on every batch costs more
+        # than the products at a few hundred features. The lower triangle
+        # is the one numpy's `states.T @ states` computes.
+        dsyrk(1.0, states.T, beta=1.0, c=self._gram, lower=1, overwrite_c=1)
+        dgemm(1.0, targets.T, states.T, beta=1.0, c=self.xty[:d].T, trans_b=1,
+              overwrite_c=1)
+        self._col_sums += states.sum(axis=0)
         self.xty[d] += targets.sum(axis=0)
         self.n_samples += states.shape[0]
+
+    @property
+    def xtx(self) -> np.ndarray:
+        """The accumulated X^T X as a new full symmetric array."""
+        return _symmetric(self._system())
+
+    def _system(self) -> np.ndarray:
+        """X^T X as a new Fortran-order array, exact in its upper triangle.
+
+        The strict lower triangle holds zeros. The state block's upper
+        triangle is the transposed lower one of the Gram, copied a tile
+        at a time to stay in cache.
+        """
+        d = self.state_dim
+        a = np.zeros((d + 1, d + 1), order="F")
+        for left in range(0, d, _COPY_TILE):
+            right = min(left + _COPY_TILE, d)
+            for top in range(0, right, _COPY_TILE):
+                bottom = min(top + _COPY_TILE, right)
+                a[top:bottom, left:right] = self._gram[left:right, top:bottom].T
+        a[:d, d] = self._col_sums
+        a[d, d] = self.n_samples
+        return a
 
     def solve(self, ridge: float, threshold: float = 0.5) -> "RidgeReadout":
         """Solve the accumulated system into a ready-to-use readout."""
         if self.n_samples == 0:
             raise ValueError("cannot solve a readout from zero samples")
         return RidgeReadout(
-            weights=ridge_solve(self.xtx, self.xty, ridge), threshold=threshold
+            weights=_solve(self._system, self.xty, ridge), threshold=threshold
         )
 
 

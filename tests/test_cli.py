@@ -357,6 +357,28 @@ class TestMainCommands:
         assert main(["run", dataset_file, "--config", cfg]) == 2
         assert "washout" in capsys.readouterr().err
 
+    def test_washout_without_valid_step_exits_2(
+        self, dataset_file, tmp_path, capsys
+    ):
+        # the longest valid sequence of the seed-3 dataset has 56 frames
+        cfg = write_config(tmp_path, {**SMALL, "washout": 55})
+        assert main(["run", dataset_file, "--config", cfg]) == 2
+        assert "washout 55 leaves no valid step" in capsys.readouterr().err
+
+    def test_grid_without_successful_trial_exits_1(
+        self, dataset_file, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path, {**SMALL, "washout": 1000})
+        out = tmp_path / "grid.json"
+        code = main(["grid", dataset_file, "--config", cfg, "--workers", "1",
+                     "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["best"] is None
+        assert report["trials"]
+        assert all(t["status"] == "failed" for t in report["trials"])
+        assert "error: no grid trial succeeded" in capsys.readouterr().err
+
     def test_runtime_failure_exits_1(self, dataset_file, tmp_path, capsys):
         # 5 units at 1% connectivity leaves zero recurrent weights,
         # which only surfaces when the reservoir is built

@@ -129,3 +129,11 @@ class TestSweepRidges:
         assert len(sweep_ridges(ds, cfg, (1e-3,), washout=longest - 2)) == 1
         with pytest.raises(ConfigError, match="washout"):
             sweep_ridges(ds, cfg, (1e-3,), washout=longest - 1)
+
+    def test_washout_must_leave_a_step_in_every_split(self):
+        # the longest valid sequence has 54 frames, train and test have 57:
+        # a split without steps would score accuracy 1.0
+        ds = make_synthetic_dataset(seed=0)
+        cfg = small_config(ds.dim, n_layers=1, units_per_layer=20)
+        with pytest.raises(ConfigError, match="washout 55 leaves no valid step"):
+            sweep_ridges(ds, cfg, (1e-3,), washout=55, tune_threshold=True)
