@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Benchmark a change against its parent in alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT_REV OUT.json
+
+Run from anywhere inside the repository. The parent revision's committed
+files are unpacked into a temporary directory; the change is the
+repository's working tree. For every workload in BENCHMARK.json and
+seeds 0-9, both sides run
+
+    python3 perfbench/run.py --workload W --seed i --seconds 60 --trace 0
+
+one after the other, the parent first on even seeds and the change
+first on odd ones, so drift in the machine's load hits both sides
+alike. OUT.json gets, per workload and end-to-end metric, the two
+medians, the parent's quartiles and IQR, and the number of pairs the
+change won (ties count for neither side), plus every run's metrics and
+each side's failed/attempted operation counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = subprocess.run(
+    ["git", "rev-parse", "--show-toplevel"],
+    cwd=os.path.dirname(os.path.abspath(__file__)),
+    capture_output=True, text=True, check=True,
+).stdout.strip()
+SEEDS = range(10)
+SECONDS = 60
+
+
+def git(*args) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def unpack(revision: str, dest: str) -> None:
+    """Write the committed files of `revision` under `dest`."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", revision],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+
+
+def run_once(root: str, workload: str, seed: int) -> dict:
+    """One perfbench invocation; its last stdout line parsed as JSON."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
+    ]
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    record = {"seed": seed, "wall_s": round(time.monotonic() - t0, 1)}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        record["error"] = f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+        return record
+    result = json.loads(lines[-1])
+    record.update(
+        attempted=result["attempted"],
+        failed=result["failed"],
+        metrics={name: m["value"] for name, m in result["metrics"].items()},
+    )
+    return record
+
+
+def summarize(metric: dict, pairs: list) -> dict:
+    """Medians, parent quartiles and the change's wins for one metric."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    ok = [(p, c) for p, c in pairs if "metrics" in p and "metrics" in c]
+    if not ok:
+        return {"pairs": 0}
+    parent = [p["metrics"][name] for p, _ in ok]
+    change = [c["metrics"][name] for _, c in ok]
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    return {
+        "better": metric["better"],
+        "bound": metric["bound"],
+        "parent_median": statistics.median(parent),
+        "change_median": statistics.median(change),
+        "parent_q1": q1,
+        "parent_q3": q3,
+        "parent_iqr": q3 - q1,
+        "change_wins": wins,
+        "pairs": len(ok),
+    }
+
+
+def side_totals(runs: list) -> dict:
+    return {
+        "attempted": sum(r.get("attempted", 0) for r in runs),
+        "failed": sum(r.get("failed", 0) for r in runs),
+        "errored_runs": sum("error" in r for r in runs),
+        "runs": runs,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="parent revision, e.g. HEAD~1")
+    parser.add_argument("out", help="path of the JSON summary to write")
+    args = parser.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    tmp = tempfile.mkdtemp(prefix="bench-parent-")
+    try:
+        unpack(parent_rev, tmp)
+        sides = {"parent": tmp, "change": ROOT}
+        workloads = {}
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            pairs = []
+            for seed in SEEDS:
+                order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+                pair = {}
+                for side in order:
+                    pair[side] = run_once(sides[side], workload, seed)
+                    pair[side]["first"] = side == order[0]
+                    print(f"{workload} seed {seed} {side}: {pair[side]}", file=sys.stderr)
+                pairs.append((pair["parent"], pair["change"]))
+            workloads[workload] = {
+                "metrics": {
+                    m["name"]: summarize(m, pairs) for m in benchmark["end_to_end"]
+                },
+                "parent": side_totals([p for p, _ in pairs]),
+                "change": side_totals([c for _, c in pairs]),
+            }
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    report = {
+        "parent": parent_rev,
+        "change": git("rev-parse", "HEAD") + ("+working-tree" if dirty else ""),
+        "command": f"perfbench/run.py --workload W --seed i --seconds {SECONDS} --trace 0",
+        "seeds": list(SEEDS),
+        "order": "parent first on even seeds, change first on odd seeds",
+        "machine": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        "workloads": workloads,
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

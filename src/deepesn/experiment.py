@@ -84,9 +84,8 @@ def choose_threshold(
     Continuous predictions are computed once and re-binarized per
     candidate. Ties go to the smallest threshold.
     """
-    continuous = [
-        (np.asarray(s) @ weights[:-1] + weights[-1], t) for s, t in pairs
-    ]
+    readout = RidgeReadout(weights)
+    continuous = [(readout.predict_continuous(s), t) for s, t in pairs]
     best_threshold, best_acc = None, -1.0
     for threshold in grid:
         acc = pooled_accuracy((binarize(c, threshold), t) for c, t in continuous)

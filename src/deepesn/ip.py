@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import DeepReservoir, walk
+from .reservoir import DeepReservoir, run_layers
 
 logger = logging.getLogger(__name__)
 
@@ -89,20 +89,20 @@ def pretrain_ip(
     """Adapt every layer's gain and bias on the given input sequences.
 
     Runs `config.epochs` passes over the sequences in the order given.
-    Each sequence starts from the zero state. After every time step of
-    the bottom-up walk, each layer adapts with the output it just
-    computed with its current parameters. A layer's step reads only its
-    own parameters and the fresh state of the layer below, so this is
-    the same as adapting each layer before the next one steps. The
-    reservoir is modified in place and returned.
+    Each sequence starts from the zero state and runs layer by layer;
+    after each step, a layer adapts with the output it just computed.
+    A layer's step reads only its own parameters and the state of the
+    layer below at the same step, so this equals stepping the whole
+    stack and then adapting every layer. The reservoir is modified in
+    place and returned.
     """
+
+    def adapt(i, layer, net, y):
+        layer.gain, layer.bias = ip_update(layer.gain, layer.bias, net, y, config)
+
     for _ in range(config.epochs):
         for inputs in sequences:
-            for _, nets, ys in walk(reservoir, np.asarray(inputs, dtype=float)):
-                for layer, net, y in zip(reservoir.layers, nets, ys):
-                    layer.gain, layer.bias = ip_update(
-                        layer.gain, layer.bias, net, y, config
-                    )
+            run_layers(reservoir, inputs, on_step=adapt)
     return reservoir
 
 
@@ -119,13 +119,14 @@ def activation_statistics(
     shape = (reservoir.config.n_layers, reservoir.config.units_per_layer)
     sums = np.zeros(shape)
     sq_sums = np.zeros(shape)
+
+    def accumulate(i, layer, net, y):
+        sums[i] += y
+        sq_sums[i] += y * y
+
     count = 0
     for inputs in sequences:
-        for _, _, ys in walk(reservoir, np.asarray(inputs, dtype=float)):
-            ys = np.array(ys)
-            sums += ys
-            sq_sums += ys * ys
-            count += 1
+        count += run_layers(reservoir, inputs, on_step=accumulate).shape[0]
     if count == 0:
         raise ValueError("no time steps to compute activation statistics from")
     means = sums / count

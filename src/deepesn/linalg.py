@@ -133,23 +133,20 @@ def operator_norm(matrix, rtol: float = 1e-6) -> float:
     m, n = shape
     if m == 0 or n == 0:
         return 0.0
-    if m * n <= _DENSE_SVD_MAX_ELEMS or min(m, n) <= _DENSE_SVD_MAX_MINDIM:
-        dense = matrix.toarray() if sp.issparse(matrix) else matrix
-        return float(np.linalg.svd(dense, compute_uv=False)[0])
-
-    try:
-        vals = scipy.sparse.linalg.svds(
-            matrix,
-            k=1,
-            tol=rtol,
-            return_singular_vectors=False,
-            v0=np.random.default_rng(0).standard_normal(min(m, n)),
-        )
-        return float(np.max(vals))
-    except Exception:
-        logger.debug("sparse SVD failed; falling back to dense SVD")
-
-    if m * n <= _DENSE_FALLBACK_MAX**2:
+    small = m * n <= _DENSE_SVD_MAX_ELEMS or min(m, n) <= _DENSE_SVD_MAX_MINDIM
+    if not small:
+        try:
+            vals = scipy.sparse.linalg.svds(
+                matrix,
+                k=1,
+                tol=rtol,
+                return_singular_vectors=False,
+                v0=np.random.default_rng(0).standard_normal(min(m, n)),
+            )
+            return float(np.max(vals))
+        except Exception:
+            logger.debug("sparse SVD failed; falling back to dense SVD")
+    if small or m * n <= _DENSE_FALLBACK_MAX**2:
         dense = matrix.toarray() if sp.issparse(matrix) else matrix
         return float(np.linalg.svd(dense, compute_uv=False)[0])
     raise NumericalError(

@@ -37,7 +37,7 @@ __all__ = [
     "init_deep_reservoir",
     "effective_matrix",
     "rescale_recurrent",
-    "walk",
+    "run_layers",
     "step_deep",
     "run_sequence",
 ]
@@ -265,39 +265,50 @@ def init_deep_reservoir(config: ReservoirConfig) -> DeepReservoir:
     return DeepReservoir(config=config, layers=layers)
 
 
-def walk(reservoir: DeepReservoir, inputs, states=None):
-    """Run the stack bottom-up over `inputs`, one step per row.
+def run_layers(reservoir, inputs, states=None, on_step=None) -> np.ndarray:
+    """Run the stack over (T, input_dim) `inputs` one layer at a time.
 
-    Yields (states, nets, ys) after each row: per layer, the new state,
-    the net input before gain and bias, and the tanh output. Layer 1 is
-    driven by the input row, layer l by the state layer l - 1 reached
-    in the same step. Gains and biases are read when each step is
-    computed, so a caller may adapt them between steps. The walk starts
-    from rest unless `states` gives one state per layer. Every step
-    yields fresh lists.
+    Layer 1 steps over every row, then layer 2 over layer 1's states,
+    and so on; returns the (T, state_dim) states in stack order. Starts
+    from rest unless `states` holds one (units,) state per layer.
+    `on_step(i, layer, net, y)` runs after each step of layer i, before
+    its next, and may adapt the gain and bias that next step reads.
     """
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[1] != reservoir.config.input_dim:
+        raise ValueError(
+            f"inputs must have shape (T, {reservoir.config.input_dim}), "
+            f"got {inputs.shape}"
+        )
     if states is None:
         states = reservoir.initial_states()
-    for drive in inputs:
-        new_states, nets, ys = [], [], []
-        for layer, state in zip(reservoir.layers, states):
-            drive, net, y = layer.update(state, drive)
-            new_states.append(drive)
-            nets.append(net)
-            ys.append(y)
-        states = new_states
-        yield states, nets, ys
+    shapes = [np.shape(state) for state in states]
+    if shapes != [(layer.units,) for layer in reservoir.layers]:
+        raise ValueError(
+            f"states must be {reservoir.config.n_layers} arrays of shape "
+            f"({reservoir.config.units_per_layer},), got shapes {shapes}"
+        )
+    out = np.empty((inputs.shape[0], reservoir.state_dim))
+    drives, start = inputs, 0
+    for i, (layer, state) in enumerate(zip(reservoir.layers, states)):
+        block = out[:, start : start + layer.units]
+        for t, drive in enumerate(drives):
+            state, net, y = layer.update(state, drive)
+            block[t] = state
+            if on_step is not None:
+                on_step(i, layer, net, y)
+        drives, start = block, start + layer.units
+    return out
 
 
 def step_deep(
     reservoir: DeepReservoir, states: list[np.ndarray], inputs: np.ndarray
 ) -> list[np.ndarray]:
-    """Advance every layer by one step, feeding fresh states upward.
+    """Advance every layer by one step: `run_layers` on one input row.
 
-    The first layer sees the external input; layer l sees the state of
-    layer l - 1 computed in this same call. This is one step of `walk`.
+    Layer l sees the state that layer l - 1 reached in this same call.
     """
-    return next(walk(reservoir, (inputs,), states))[0]
+    return np.split(run_layers(reservoir, [inputs], states)[0], len(reservoir.layers))
 
 
 def run_sequence(
@@ -314,18 +325,9 @@ def run_sequence(
     steps are computed but not returned. `initial_states`, one per
     layer, replaces the rest state.
     """
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != reservoir.config.input_dim:
+    states = run_layers(reservoir, inputs, initial_states)
+    if not 0 <= washout <= states.shape[0]:
         raise ValueError(
-            f"inputs must have shape (T, {reservoir.config.input_dim}), "
-            f"got {inputs.shape}"
+            f"washout {washout} out of range for a {states.shape[0]}-step sequence"
         )
-    if not 0 <= washout <= inputs.shape[0]:
-        raise ValueError(
-            f"washout {washout} out of range for a {inputs.shape[0]}-step sequence"
-        )
-    out = np.empty((inputs.shape[0] - washout, reservoir.state_dim))
-    for t, (states, _, _) in enumerate(walk(reservoir, inputs, initial_states)):
-        if t >= washout:
-            out[t - washout] = np.concatenate(states)
-    return out
+    return states[washout:]

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from deepesn.errors import InitializationError
+from deepesn.ip import activation_statistics, pretrain_ip
 from deepesn.linalg import operator_norm
 from deepesn.reservoir import (
     DeepReservoir,
@@ -231,3 +232,76 @@ class TestRunSequence:
         res = init_deep_reservoir(small_config())
         for state in res.initial_states():
             assert np.array_equal(state, np.zeros(30))
+
+
+def reference_stack(layers, inputs, states):
+    """Per-step loop over the stack, written out against the matrices."""
+    states = [np.array(state, dtype=float) for state in states]
+    out = np.empty((inputs.shape[0], sum(layer.units for layer in layers)))
+    for t in range(inputs.shape[0]):
+        drive = inputs[t]
+        for i, layer in enumerate(layers):
+            a = layer.leaky_rate
+            net = layer.feed @ drive + layer.recurrent @ states[i]
+            y = np.tanh(layer.gain * net + layer.bias)
+            states[i] = (1.0 - a) * states[i] + a * y
+            drive = states[i]
+        out[t] = np.concatenate(states)
+    return out
+
+
+class TestStackOracle:
+    """The layer-major kernel equals stepping the whole stack, bit for bit."""
+
+    def setup_method(self):
+        self.res = init_deep_reservoir(small_config(n_layers=3, leaky_rate=0.5))
+        rng = np.random.default_rng(11)
+        for layer in self.res.layers:
+            layer.gain = rng.uniform(0.5, 1.5, size=30)
+            layer.bias = rng.uniform(-0.2, 0.2, size=30)
+        self.inputs = rng.uniform(-1, 1, size=(60, 4))
+        self.start = [rng.uniform(-1, 1, size=30) for _ in range(3)]
+
+    def test_run_sequence_matches_reference(self):
+        expected = reference_stack(self.res.layers, self.inputs, self.start)
+        got = run_sequence(self.res, self.inputs, washout=7, initial_states=self.start)
+        assert np.array_equal(got, expected[7:])
+
+    def test_step_deep_loop_matches_reference(self):
+        expected = reference_stack(self.res.layers, self.inputs, self.start)
+        states = self.start
+        for t in range(self.inputs.shape[0]):
+            states = step_deep(self.res, states, self.inputs[t])
+            assert np.array_equal(np.concatenate(states), expected[t])
+
+    def test_zero_length_input(self):
+        assert run_sequence(self.res, np.zeros((0, 4))).shape == (0, 90)
+
+
+class TestKernelChecks:
+    """Every entry point rejects a bad input width or state list alike."""
+
+    def setup_method(self):
+        self.res = init_deep_reservoir(small_config(n_layers=3))
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_state_count(self, count):
+        states = [np.zeros(30) for _ in range(count)]
+        with pytest.raises(ValueError, match="states must be 3 arrays of shape"):
+            step_deep(self.res, states, np.zeros(4))
+        with pytest.raises(ValueError, match="states must be 3 arrays of shape"):
+            run_sequence(self.res, np.zeros((5, 4)), initial_states=states)
+
+    def test_state_shape(self):
+        states = [np.zeros(30), np.zeros(29), np.zeros(30)]
+        with pytest.raises(ValueError, match=r"got shapes \[\(30,\), \(29,\)"):
+            run_sequence(self.res, np.zeros((5, 4)), initial_states=states)
+
+    def test_input_width(self):
+        message = r"inputs must have shape \(T, 4\)"
+        with pytest.raises(ValueError, match=message):
+            step_deep(self.res, self.res.initial_states(), np.zeros(5))
+        with pytest.raises(ValueError, match=message):
+            pretrain_ip(self.res, [np.zeros((5, 5))])
+        with pytest.raises(ValueError, match=message):
+            activation_statistics(self.res, [np.zeros((5, 5))])
