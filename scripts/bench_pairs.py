@@ -12,10 +12,14 @@ seeds 0-9, both sides run
 
 one after the other, the parent first on even seeds and the change
 first on odd ones, so drift in the machine's load hits both sides
-alike. OUT.json gets, per workload and end-to-end metric, the two
-medians, the parent's quartiles and IQR, and the number of pairs the
-change won (ties count for neither side), plus every run's metrics and
-each side's failed/attempted operation counts.
+alike. OUT.json gets, per workload and end-to-end metric, each side's
+median and quartiles, the parent's IQR, the number of pairs the change
+won (ties count for neither side), and two verdicts: `gain` (won at
+least 9/10 of the pairs and beat the parent's median by more than its
+IQR) and `worse` (median worse than the parent's by more than the
+metric's bound from BENCHMARK.json, as a fraction of the parent's
+median). It also gets every run's metrics and each side's
+failed/attempted operation counts.
 """
 
 from __future__ import annotations
@@ -81,25 +85,39 @@ def run_once(root: str, workload: str, seed: int) -> dict:
 
 
 def summarize(metric: dict, pairs: list) -> dict:
-    """Medians, parent quartiles and the change's wins for one metric."""
+    """Both sides' medians and quartiles, the change's wins, and the verdicts.
+
+    `gain` is the claim rule: the change won at least 9 of every 10
+    pairs, ties counting for neither side, and its median is better than
+    the parent's by more than the parent's IQR. `worse` is the
+    regression rule: the change's median is worse than the parent's by
+    more than `bound` times the parent's median.
+    """
     name, lower = metric["name"], metric["better"] == "lower"
     ok = [(p, c) for p, c in pairs if "metrics" in p and "metrics" in c]
     if not ok:
         return {"pairs": 0}
     parent = [p["metrics"][name] for p, _ in ok]
     change = [c["metrics"][name] for _, c in ok]
-    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    p_q1, _, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c_q1, _, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
+    p_median, c_median = statistics.median(parent), statistics.median(change)
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    improvement = (p_median - c_median) if lower else (c_median - p_median)
     return {
         "better": metric["better"],
         "bound": metric["bound"],
-        "parent_median": statistics.median(parent),
-        "change_median": statistics.median(change),
-        "parent_q1": q1,
-        "parent_q3": q3,
-        "parent_iqr": q3 - q1,
+        "parent_median": p_median,
+        "parent_q1": p_q1,
+        "parent_q3": p_q3,
+        "parent_iqr": p_q3 - p_q1,
+        "change_median": c_median,
+        "change_q1": c_q1,
+        "change_q3": c_q3,
         "change_wins": wins,
         "pairs": len(ok),
+        "gain": 10 * wins >= 9 * len(ok) and improvement > p_q3 - p_q1,
+        "worse": -improvement > metric["bound"] * abs(p_median),
     }
 
 

@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
 from .metrics import pooled_accuracy
 from .readout import RidgeAccumulator, RidgeReadout, binarize
-from .reservoir import ReservoirConfig, init_deep_reservoir, run_sequence
+from .reservoir import ReservoirConfig, init_deep_reservoir, run_layers
 
 __all__ = [
     "THRESHOLD_GRID",
@@ -59,16 +59,17 @@ def collect_pairs(
 
     For a (T, dim) sequence the drive is frames 0..T-2 and the targets
     frames 1..T-1; the first `washout` aligned steps are dropped.
-    Sequences too short to contribute any step are skipped.
+    Sequences too short to contribute any step are skipped. The rest run
+    as one batch; each pair's states are a view of the batch's states.
     """
-    pairs = []
+    drives, targets = [], []
     for dense in dense_sequences:
-        inputs, targets = next_step_pairs(dense)
-        if inputs.shape[0] <= washout:
-            continue
-        states = run_sequence(reservoir, inputs, washout=washout)
-        pairs.append((states, targets[washout:]))
-    return pairs
+        inputs, aligned = next_step_pairs(dense)
+        if inputs.shape[0] > washout:
+            drives.append(inputs)
+            targets.append(aligned[washout:])
+    states = run_layers(reservoir, drives)
+    return [(s[washout:], t) for s, t in zip(states, targets)]
 
 
 def evaluate_readout(readout: RidgeReadout, pairs) -> float:

@@ -52,6 +52,53 @@ class IpConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
+class _IpRule:
+    """The update equation, applied in place to one layer's gain and bias.
+
+    Holds the scalar terms and the work buffers, so a step allocates
+    nothing. The ufuncs run in the order of the module docstring's
+    equations as written, so the result is bit-equal to evaluating them
+    as plain array expressions.
+    """
+
+    def __init__(self, config: IpConfig, shape):
+        var = config.target_std**2
+        self._mu = config.target_mean
+        self._var = var
+        self._eta = config.learning_rate
+        self._offset = -self._mu / var
+        self._width = 2.0 * var + 1.0
+        self._db = np.empty(shape)
+        self._dg = np.empty(shape)
+        self._tmp = np.empty(shape)
+        self._low = np.empty(shape, dtype=bool)
+
+    def apply(self, gain, bias, net, y) -> None:
+        db, dg, tmp, low = self._db, self._dg, self._tmp, self._low
+        np.multiply(y, y, db)
+        np.subtract(self._width, db, db)
+        np.multiply(self._mu, y, tmp)
+        np.add(db, tmp, db)
+        np.divide(y, self._var, tmp)
+        np.multiply(tmp, db, db)
+        np.add(self._offset, db, db)
+        np.multiply(-self._eta, db, db)
+        np.divide(self._eta, gain, dg)
+        np.multiply(db, net, tmp)
+        np.add(dg, tmp, dg)
+        np.add(gain, dg, gain)
+        np.add(bias, db, bias)
+        np.less(gain, _MIN_GAIN, low)
+        clamped = np.count_nonzero(low)
+        if clamped:
+            logger.warning(
+                "clamped %d gain(s) at %g during intrinsic-plasticity update",
+                clamped,
+                _MIN_GAIN,
+            )
+            np.maximum(gain, _MIN_GAIN, out=gain)
+
+
 def ip_update(
     gain: np.ndarray,
     bias: np.ndarray,
@@ -64,21 +111,10 @@ def ip_update(
     Returns new arrays; the inputs are not modified. Gains are clamped
     from below so a unit can shrink but never vanish or change sign.
     """
-    mu = config.target_mean
-    var = config.target_std**2
-    eta = config.learning_rate
-    db = -eta * (-mu / var + (y / var) * (2.0 * var + 1.0 - y * y + mu * y))
-    dg = eta / gain + db * net
-    new_gain = gain + dg
-    clamped = new_gain < _MIN_GAIN
-    if np.any(clamped):
-        logger.warning(
-            "clamped %d gain(s) at %g during intrinsic-plasticity update",
-            int(np.sum(clamped)),
-            _MIN_GAIN,
-        )
-        new_gain = np.maximum(new_gain, _MIN_GAIN)
-    return new_gain, bias + db
+    gain = np.array(gain, dtype=float)
+    bias = np.array(bias, dtype=float)
+    _IpRule(config, gain.shape).apply(gain, bias, net, y)
+    return gain, bias
 
 
 def pretrain_ip(
@@ -89,20 +125,27 @@ def pretrain_ip(
     """Adapt every layer's gain and bias on the given input sequences.
 
     Runs `config.epochs` passes over the sequences in the order given.
-    Each sequence starts from the zero state and runs layer by layer;
-    after each step, a layer adapts with the output it just computed.
-    A layer's step reads only its own parameters and the state of the
-    layer below at the same step, so this equals stepping the whole
-    stack and then adapting every layer. The reservoir is modified in
+    Each sequence starts from the zero state and runs alone, layer by
+    layer; after each step, a layer adapts with the output it just
+    computed. A layer's step reads only its own parameters and the state
+    of the layer below at the same step, so this equals stepping the
+    whole stack and then adapting every layer. Each layer gets new gain
+    and bias arrays, updated in place from then on, so arrays a caller
+    held before the call keep their values. The reservoir is modified in
     place and returned.
     """
+    rules = []
+    for layer in reservoir.layers:
+        layer.gain = np.array(layer.gain, dtype=float)
+        layer.bias = np.array(layer.bias, dtype=float)
+        rules.append(_IpRule(config, layer.gain.shape))
 
     def adapt(i, layer, net, y):
-        layer.gain, layer.bias = ip_update(layer.gain, layer.bias, net, y, config)
+        rules[i].apply(layer.gain, layer.bias, net[0], y[0])
 
     for _ in range(config.epochs):
         for inputs in sequences:
-            run_layers(reservoir, inputs, on_step=adapt)
+            run_layers(reservoir, [inputs], on_step=adapt)
     return reservoir
 
 
@@ -121,12 +164,12 @@ def activation_statistics(
     sq_sums = np.zeros(shape)
 
     def accumulate(i, layer, net, y):
-        sums[i] += y
-        sq_sums[i] += y * y
+        sums[i] += y[0]
+        sq_sums[i] += y[0] * y[0]
 
     count = 0
     for inputs in sequences:
-        count += run_layers(reservoir, inputs, on_step=accumulate).shape[0]
+        count += run_layers(reservoir, [inputs], on_step=accumulate)[0].shape[0]
     if count == 0:
         raise ValueError("no time steps to compute activation statistics from")
     means = sums / count

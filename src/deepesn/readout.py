@@ -43,8 +43,9 @@ def _solve(build, xty: np.ndarray, ridge: float) -> np.ndarray:
 
     The copy's upper triangle is all that is read. It gets the ridge on
     its diagonal and is factorized in place, so the solve holds one n^2
-    working array. If the Cholesky factorization fails, a least-squares
-    solve runs on a fresh copy made full and symmetric.
+    working array. If the Cholesky factorization fails, `build()` runs
+    again and a least-squares solve runs on its result made full and
+    symmetric.
     """
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
@@ -97,6 +98,7 @@ class RidgeAccumulator:
         self._col_sums = np.zeros(state_dim)
         self.xty = np.zeros((state_dim + 1, output_dim))
         self.n_samples = 0
+        self._work = None
 
     def add(self, states: np.ndarray, targets: np.ndarray) -> None:
         """Accumulate a batch of (state, target) rows.
@@ -136,14 +138,19 @@ class RidgeAccumulator:
         return _symmetric(self._system())
 
     def _system(self) -> np.ndarray:
-        """X^T X as a new Fortran-order array, exact in its upper triangle.
+        """X^T X in the accumulator's Fortran-order working array.
 
-        The strict lower triangle holds zeros. The state block's upper
-        triangle is the transposed lower one of the Gram, copied a tile
-        at a time to stay in cache.
+        The array is allocated on the first call and refilled in place on
+        every later one, so each ridge's solve reuses pages already
+        touched. Only its upper triangle is exact and only that is read;
+        the strict lower triangle holds whatever a factorization left
+        there. The state block's upper triangle is the transposed lower
+        one of the Gram, copied a tile at a time to stay in cache.
         """
         d = self.state_dim
-        a = np.zeros((d + 1, d + 1), order="F")
+        if self._work is None:
+            self._work = np.zeros((d + 1, d + 1), order="F")
+        a = self._work
         for left in range(0, d, _COPY_TILE):
             right = min(left + _COPY_TILE, d)
             for top in range(0, right, _COPY_TILE):

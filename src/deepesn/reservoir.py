@@ -128,21 +128,39 @@ class ReservoirLayer:
     def units(self) -> int:
         return self.feed.shape[0]
 
-    def update(
-        self, state: np.ndarray, drive: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step of the layer equation: (new state, net, y).
+    def feed_products(self, drives: np.ndarray) -> np.ndarray:
+        """F d for every row d of (k, fan_in) `drives`, shape (k, units).
 
-        `net` is the net input F drive + W state, before gain and bias;
-        `y` the tanh output that the leak mixes into the state.
+        One stacked matrix-vector product: each row is bit-equal to
+        `feed @ d`. A GEMM (`drives @ feed.T`) is not, so it is not used.
         """
-        net = self.feed @ drive + self.recurrent @ state
+        return np.matmul(self.feed, drives[:, :, None])[:, :, 0]
+
+    def advance(
+        self, states: np.ndarray, fed: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One step of the layer equation for every row: (new states, net, y).
+
+        `states` holds one (units,) state per row and `fed` the matching
+        feed products F d. `net` is F d + W state, before gain and bias;
+        `y` the tanh output that the leak mixes into the state. Each row
+        of W state is bit-equal to `recurrent @ state`: a CSR matrix
+        takes the whole block as columns, and a dense matrix takes one
+        stacked matrix-vector product, since a GEMM would change the bits.
+        """
+        if sp.issparse(self.recurrent):
+            recurrent = (self.recurrent @ states.T).T
+        else:
+            recurrent = np.matmul(self.recurrent, states[:, :, None])[:, :, 0]
+        net = fed + recurrent
         y = np.tanh(self.gain * net + self.bias)
-        return (1.0 - self.leaky_rate) * state + self.leaky_rate * y, net, y
+        return (1.0 - self.leaky_rate) * states + self.leaky_rate * y, net, y
 
     def step(self, state: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """Advance the layer state by one time step."""
-        return self.update(state, drive)[0]
+        """Advance one (units,) state by one time step."""
+        state = np.asarray(state, dtype=float)[None]
+        drive = np.asarray(drive, dtype=float)[None]
+        return self.advance(state, self.feed_products(drive))[0][0]
 
 
 @dataclass
@@ -265,21 +283,38 @@ def init_deep_reservoir(config: ReservoirConfig) -> DeepReservoir:
     return DeepReservoir(config=config, layers=layers)
 
 
-def run_layers(reservoir, inputs, states=None, on_step=None) -> np.ndarray:
-    """Run the stack over (T, input_dim) `inputs` one layer at a time.
-
-    Layer 1 steps over every row, then layer 2 over layer 1's states,
-    and so on; returns the (T, state_dim) states in stack order. Starts
-    from rest unless `states` holds one (units,) state per layer.
-    `on_step(i, layer, net, y)` runs after each step of layer i, before
-    its next, and may adapt the gain and bias that next step reads.
-    """
+def _checked_inputs(reservoir, inputs) -> np.ndarray:
+    """`inputs` as a float (T, input_dim) array, or a ValueError."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != reservoir.config.input_dim:
         raise ValueError(
             f"inputs must have shape (T, {reservoir.config.input_dim}), "
             f"got {inputs.shape}"
         )
+    return inputs
+
+
+def run_layers(reservoir, sequences, states=None, on_step=None) -> list[np.ndarray]:
+    """Run the stack over a batch of (T_j, input_dim) sequences.
+
+    Returns one (T_j, state_dim) array of states per sequence, in the
+    order given, layer states in stack order; the arrays are views of
+    one packed array. Every sequence starts from rest, or from
+    `states`, one (units,) state per layer.
+
+    The batch goes layer by layer, since layer l is driven only by
+    layer l - 1 at the same step. For each layer, one stacked product
+    computes the feed of every row of the batch; then the recurrent
+    product, tanh and leak step over time on the block of sequences
+    still running. Sequences are ordered longest first, so that block
+    shrinks from the bottom as sequences end. Every row is bit-equal to
+    stepping its sequence alone. `on_step(i, layer, net, y)` runs after
+    each step of layer i, with that step's (k, units) blocks, one row per
+    running sequence, and may adapt the gain and bias the next step
+    reads; with more than one sequence, they all step under the same
+    parameters.
+    """
+    sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
     if states is None:
         states = reservoir.initial_states()
     shapes = [np.shape(state) for state in states]
@@ -288,17 +323,38 @@ def run_layers(reservoir, inputs, states=None, on_step=None) -> np.ndarray:
             f"states must be {reservoir.config.n_layers} arrays of shape "
             f"({reservoir.config.units_per_layer},), got shapes {shapes}"
         )
-    out = np.empty((inputs.shape[0], reservoir.state_dim))
-    drives, start = inputs, 0
+    if not sequences:
+        return []
+    lengths = np.array([inputs.shape[0] for inputs in sequences])
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    # Time-major packing: the rows of step t are the sequences still
+    # running at t, longest first. `rows` maps each packed row to its row
+    # of `out`, where every sequence's steps are contiguous.
+    steps = np.arange(lengths.max())
+    running = len(lengths) - np.searchsorted(np.sort(lengths), steps, side="right")
+    firsts = np.cumsum(running) - running
+    step = np.repeat(steps, running)
+    rank = np.arange(step.size) - firsts[step]
+    rows = starts[order[rank]] + step
+    out = np.empty((lengths.sum(), reservoir.state_dim))
+    drives = np.concatenate(sequences)[rows]
+    bounds = list(zip(firsts.tolist(), running.tolist()))
+    start = 0
     for i, (layer, state) in enumerate(zip(reservoir.layers, states)):
-        block = out[:, start : start + layer.units]
-        for t, drive in enumerate(drives):
-            state, net, y = layer.update(state, drive)
-            block[t] = state
+        # Each step's feed rows are read once, then hold that step's states.
+        block = layer.feed_products(drives)
+        prev = np.broadcast_to(
+            np.asarray(state, dtype=float), (len(sequences), layer.units)
+        )
+        for first, k in bounds:
+            prev, net, y = layer.advance(prev[:k], block[first : first + k])
+            block[first : first + k] = prev
             if on_step is not None:
                 on_step(i, layer, net, y)
+        out[rows, start : start + layer.units] = block
         drives, start = block, start + layer.units
-    return out
+    return [out[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
 
 
 def step_deep(
@@ -308,7 +364,8 @@ def step_deep(
 
     Layer l sees the state that layer l - 1 reached in this same call.
     """
-    return np.split(run_layers(reservoir, [inputs], states)[0], len(reservoir.layers))
+    row = run_layers(reservoir, [[inputs]], states)[0][0]
+    return np.split(row, len(reservoir.layers))
 
 
 def run_sequence(
@@ -325,9 +382,9 @@ def run_sequence(
     steps are computed but not returned. `initial_states`, one per
     layer, replaces the rest state.
     """
-    states = run_layers(reservoir, inputs, initial_states)
-    if not 0 <= washout <= states.shape[0]:
+    inputs = _checked_inputs(reservoir, inputs)
+    if not 0 <= washout <= inputs.shape[0]:
         raise ValueError(
-            f"washout {washout} out of range for a {states.shape[0]}-step sequence"
+            f"washout {washout} out of range for a {inputs.shape[0]}-step sequence"
         )
-    return states[washout:]
+    return run_layers(reservoir, [inputs], initial_states)[0][washout:]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from test_reservoir import reference_stack
 
-from deepesn.data import make_synthetic_dataset, to_dense
+from deepesn.data import make_synthetic_dataset, next_step_pairs, to_dense
 from deepesn.errors import ConfigError
 from deepesn.experiment import (
     THRESHOLD_GRID,
@@ -49,6 +50,31 @@ class TestCollectPairs:
         assert len(pairs) == 1
         pairs = collect_pairs(res, [dense_long], washout=2)
         assert pairs == []
+
+
+class TestBatchOracle:
+    """One batch over unequal sequences equals running each one alone."""
+
+    @pytest.mark.parametrize("connectivity", [0.2, 1.0])
+    def test_pairs_match_reference_per_sequence(self, connectivity):
+        res = init_deep_reservoir(
+            small_config(4, n_layers=3, connectivity=connectivity)
+        )
+        rng = np.random.default_rng(12)
+        for layer in res.layers:
+            layer.gain = rng.uniform(0.5, 1.5, size=30)
+            layer.bias = rng.uniform(-0.2, 0.2, size=30)
+        lengths = (17, 40, 3, 25, 40, 9)  # 3 frames leave 2 steps: skipped
+        dense = [rng.uniform(-1, 1, size=(n, 4)) for n in lengths]
+        pairs = collect_pairs(res, dense, washout=2)
+        kept = [seq for seq in dense if seq.shape[0] > 3]
+        assert len(pairs) == len(kept) == 5
+        rest = [np.zeros(30)] * 3
+        for (states, targets), seq in zip(pairs, kept):
+            inputs, aligned = next_step_pairs(seq)
+            expected = reference_stack(res.layers, inputs, rest)[2:]
+            assert np.array_equal(states, expected)
+            assert np.array_equal(targets, aligned[2:])
 
 
 class TestChooseThreshold:

@@ -130,6 +130,16 @@ class TestPretrain:
             assert np.array_equal(la.gain, lb.gain)
             assert np.array_equal(la.bias, lb.bias)
 
+    def test_caller_arrays_not_mutated(self):
+        res = small_reservoir()
+        held = [(layer.gain, layer.bias) for layer in res.layers]
+        before = [(gain.copy(), bias.copy()) for gain, bias in held]
+        pretrain_ip(res, self.corpus(steps=50), IpConfig(epochs=1))
+        for layer, (gain, bias), (gain0, bias0) in zip(res.layers, held, before):
+            assert np.array_equal(gain, gain0)
+            assert np.array_equal(bias, bias0)
+            assert not np.array_equal(layer.gain, gain0)
+
     def test_returns_same_reservoir(self):
         res = small_reservoir()
         assert pretrain_ip(res, self.corpus(steps=20), IpConfig(epochs=1)) is res

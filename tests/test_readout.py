@@ -154,6 +154,23 @@ class TestRidgeSolve:
                 rtol=1e-9,
             )
 
+    def test_repeated_solves_match_fresh_accumulators(self):
+        # d spans several copy tiles; the second solve reuses the working
+        # array the first one factorized in place
+        rng = np.random.default_rng(8)
+        states, targets = rng.random((400, 300)), rng.random((400, 4))
+
+        def filled():
+            acc = RidgeAccumulator(300, 4)
+            acc.add(states, targets)
+            return acc
+
+        shared = filled()
+        for ridge in (1e-1, 1e-4):
+            got = shared.solve(ridge).weights
+            assert np.array_equal(got, filled().solve(ridge).weights)
+        assert np.array_equal(shared.xtx, filled().xtx)
+
     def test_streaming_equals_batch(self):
         rng = np.random.default_rng(1)
         states = rng.standard_normal((60, 5))
