@@ -18,8 +18,12 @@ won (ties count for neither side), and two verdicts: `gain` (won at
 least 9/10 of the pairs and beat the parent's median by more than its
 IQR) and `worse` (median worse than the parent's by more than the
 metric's bound from BENCHMARK.json, as a fraction of the parent's
-median). It also gets every run's metrics and each side's
-failed/attempted operation counts.
+median). Quartiles, the IQR and `gain` need at least two pairs with
+metrics on both sides; with fewer, the quartiles are null and `gain` is
+false. It also gets every run's metrics, each side's failed/attempted
+operation counts, and `benchmark_identical`: whether BENCHMARK.json and
+perfbench/ in the working tree equal the parent's, without which no
+claim holds.
 """
 
 from __future__ import annotations
@@ -37,26 +41,33 @@ import tarfile
 import tempfile
 import time
 
-ROOT = subprocess.run(
-    ["git", "rev-parse", "--show-toplevel"],
-    cwd=os.path.dirname(os.path.abspath(__file__)),
-    capture_output=True, text=True, check=True,
-).stdout.strip()
 SEEDS = range(10)
 SECONDS = 60
+# What the benchmark runs; a claim holds only if both sides ran the same.
+BENCHMARK_PATHS = ("BENCHMARK.json", "perfbench")
 
 
-def git(*args) -> str:
+def git(root: str, *args) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True
     ).stdout.strip()
 
 
-def unpack(revision: str, dest: str) -> None:
+def benchmark_identical(root: str, revision: str) -> bool:
+    """Whether the working tree's benchmark files equal those of `revision`."""
+    diff = subprocess.run(
+        ["git", "diff", "--quiet", revision, "--", *BENCHMARK_PATHS], cwd=root
+    )
+    if diff.returncode not in (0, 1):
+        raise RuntimeError(f"git diff exited {diff.returncode}")
+    return diff.returncode == 0
+
+
+def unpack(root: str, revision: str, dest: str) -> None:
     """Write the committed files of `revision` under `dest`."""
     archive = subprocess.run(
         ["git", "archive", "--format=tar", revision],
-        cwd=ROOT, capture_output=True, check=True,
+        cwd=root, capture_output=True, check=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
@@ -91,7 +102,8 @@ def summarize(metric: dict, pairs: list) -> dict:
     pairs, ties counting for neither side, and its median is better than
     the parent's by more than the parent's IQR. `worse` is the
     regression rule: the change's median is worse than the parent's by
-    more than `bound` times the parent's median.
+    more than `bound` times the parent's median. Quartiles need two
+    pairs; with one, they are None and there is no gain.
     """
     name, lower = metric["name"], metric["better"] == "lower"
     ok = [(p, c) for p, c in pairs if "metrics" in p and "metrics" in c]
@@ -99,8 +111,11 @@ def summarize(metric: dict, pairs: list) -> dict:
         return {"pairs": 0}
     parent = [p["metrics"][name] for p, _ in ok]
     change = [c["metrics"][name] for _, c in ok]
-    p_q1, _, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    c_q1, _, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
+    p_q1 = p_q3 = c_q1 = c_q3 = p_iqr = None
+    if len(ok) >= 2:
+        p_q1, _, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        c_q1, _, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
+        p_iqr = p_q3 - p_q1
     p_median, c_median = statistics.median(parent), statistics.median(change)
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     improvement = (p_median - c_median) if lower else (c_median - p_median)
@@ -110,13 +125,15 @@ def summarize(metric: dict, pairs: list) -> dict:
         "parent_median": p_median,
         "parent_q1": p_q1,
         "parent_q3": p_q3,
-        "parent_iqr": p_q3 - p_q1,
+        "parent_iqr": p_iqr,
         "change_median": c_median,
         "change_q1": c_q1,
         "change_q3": c_q3,
         "change_wins": wins,
         "pairs": len(ok),
-        "gain": 10 * wins >= 9 * len(ok) and improvement > p_q3 - p_q1,
+        "gain": p_iqr is not None
+        and 10 * wins >= 9 * len(ok)
+        and improvement > p_iqr,
         "worse": -improvement > metric["bound"] * abs(p_median),
     }
 
@@ -135,14 +152,16 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="parent revision, e.g. HEAD~1")
     parser.add_argument("out", help="path of the JSON summary to write")
     args = parser.parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+    root = git(os.path.dirname(os.path.abspath(__file__)), "rev-parse", "--show-toplevel")
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    parent_rev = git(root, "rev-parse", "--verify", f"{args.parent}^{{commit}}")
+    dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no"))
+    identical = benchmark_identical(root, parent_rev)
     tmp = tempfile.mkdtemp(prefix="bench-parent-")
     try:
-        unpack(parent_rev, tmp)
-        sides = {"parent": tmp, "change": ROOT}
+        unpack(root, parent_rev, tmp)
+        sides = {"parent": tmp, "change": root}
         workloads = {}
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
@@ -165,7 +184,8 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
     report = {
         "parent": parent_rev,
-        "change": git("rev-parse", "HEAD") + ("+working-tree" if dirty else ""),
+        "change": git(root, "rev-parse", "HEAD") + ("+working-tree" if dirty else ""),
+        "benchmark_identical": identical,
         "command": f"perfbench/run.py --workload W --seed i --seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
         "order": "parent first on even seeds, change first on odd seeds",

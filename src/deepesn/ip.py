@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import DeepReservoir, run_layers
+from .reservoir import DeepReservoir, run_online
 
 logger = logging.getLogger(__name__)
 
@@ -53,12 +53,12 @@ class IpConfig:
 
 
 class _IpRule:
-    """The update equation, applied in place to one layer's gain and bias.
+    """The update equation, applied in place to gains and biases.
 
     Holds the scalar terms and the work buffers, so a step allocates
     nothing. The ufuncs run in the order of the module docstring's
     equations as written, so the result is bit-equal to evaluating them
-    as plain array expressions.
+    as plain array expressions, row by row.
     """
 
     def __init__(self, config: IpConfig, shape):
@@ -73,8 +73,14 @@ class _IpRule:
         self._tmp = np.empty(shape)
         self._low = np.empty(shape, dtype=bool)
 
-    def apply(self, gain, bias, net, y) -> None:
-        db, dg, tmp, low = self._db, self._dg, self._tmp, self._low
+    def apply(self, gain, bias, net, y, rows=slice(None)):
+        """Update `gain` and `bias` in place; the mask of clamped gains, or None.
+
+        The operands match the `rows` of the work buffers' shape. The
+        mask is a view of a work buffer, valid until the next call.
+        """
+        db, dg = self._db[rows], self._dg[rows]
+        tmp, low = self._tmp[rows], self._low[rows]
         np.multiply(y, y, db)
         np.subtract(self._width, db, db)
         np.multiply(self._mu, y, tmp)
@@ -89,14 +95,18 @@ class _IpRule:
         np.add(gain, dg, gain)
         np.add(bias, db, bias)
         np.less(gain, _MIN_GAIN, low)
-        clamped = np.count_nonzero(low)
-        if clamped:
-            logger.warning(
-                "clamped %d gain(s) at %g during intrinsic-plasticity update",
-                clamped,
-                _MIN_GAIN,
-            )
-            np.maximum(gain, _MIN_GAIN, out=gain)
+        if not np.count_nonzero(low):
+            return None
+        np.maximum(gain, _MIN_GAIN, out=gain)
+        return low
+
+
+def _warn_clamped(count: int) -> None:
+    logger.warning(
+        "clamped %d gain(s) at %g during intrinsic-plasticity update",
+        count,
+        _MIN_GAIN,
+    )
 
 
 def ip_update(
@@ -109,11 +119,21 @@ def ip_update(
     """One online update of (gain, bias) given net input and tanh output.
 
     Returns new arrays; the inputs are not modified. Gains are clamped
-    from below so a unit can shrink but never vanish or change sign.
+    from below so a unit can shrink but never vanish or change sign;
+    each call that clamps logs one warning with the count.
     """
     gain = np.array(gain, dtype=float)
     bias = np.array(bias, dtype=float)
-    _IpRule(config, gain.shape).apply(gain, bias, net, y)
+    low = _IpRule(config, gain.shape).apply(gain, bias, net, y)
+    if low is not None:
+        _warn_clamped(np.count_nonzero(low))
+    return gain, bias
+
+
+def _parameter_stacks(reservoir: DeepReservoir) -> tuple[np.ndarray, np.ndarray]:
+    """New (n_layers, units) arrays holding every layer's gain and bias."""
+    gain = np.array([layer.gain for layer in reservoir.layers], dtype=float)
+    bias = np.array([layer.bias for layer in reservoir.layers], dtype=float)
     return gain, bias
 
 
@@ -125,27 +145,32 @@ def pretrain_ip(
     """Adapt every layer's gain and bias on the given input sequences.
 
     Runs `config.epochs` passes over the sequences in the order given.
-    Each sequence starts from the zero state and runs alone, layer by
-    layer; after each step, a layer adapts with the output it just
-    computed. A layer's step reads only its own parameters and the state
-    of the layer below at the same step, so this equals stepping the
-    whole stack and then adapting every layer. Each layer gets new gain
-    and bias arrays, updated in place from then on, so arrays a caller
-    held before the call keep their values. The reservoir is modified in
-    place and returned.
+    Each sequence starts from the zero state; after each step, a layer
+    adapts with the output it just computed, before its next step. A
+    layer's step reads only its own parameters and the state of the
+    layer below at the same step, so this equals stepping the whole
+    stack and then adapting every layer. Every sequence is checked
+    before anything adapts. The layers get new gain and bias arrays at
+    the end, so arrays a caller held before the call keep their values.
+    Each layer whose gains were clamped logs one warning with its count.
+    The reservoir is modified in place and returned.
     """
-    rules = []
-    for layer in reservoir.layers:
-        layer.gain = np.array(layer.gain, dtype=float)
-        layer.bias = np.array(layer.bias, dtype=float)
-        rules.append(_IpRule(config, layer.gain.shape))
+    gain, bias = _parameter_stacks(reservoir)
+    rule = _IpRule(config, gain.shape)
+    clamps = np.zeros(len(reservoir.layers), dtype=np.int64)
 
-    def adapt(i, layer, net, y):
-        rules[i].apply(layer.gain, layer.bias, net[0], y[0])
+    def adapt(rows, net, y):
+        low = rule.apply(gain[rows], bias[rows], net, y, rows)
+        if low is not None:
+            clamps[rows] += np.count_nonzero(low, axis=1)
 
-    for _ in range(config.epochs):
-        for inputs in sequences:
-            run_layers(reservoir, [inputs], on_step=adapt)
+    run_online(reservoir, list(sequences) * config.epochs, gain, bias, adapt)
+    for layer, layer_gain, layer_bias, count in zip(
+        reservoir.layers, gain, bias, clamps.tolist()
+    ):
+        layer.gain, layer.bias = layer_gain, layer_bias
+        if count:
+            _warn_clamped(count)
     return reservoir
 
 
@@ -159,17 +184,17 @@ def activation_statistics(
     adaptation targets. Returns (means, stds), each of shape
     (n_layers, units_per_layer).
     """
-    shape = (reservoir.config.n_layers, reservoir.config.units_per_layer)
-    sums = np.zeros(shape)
-    sq_sums = np.zeros(shape)
+    sequences = list(sequences)
+    gain, bias = _parameter_stacks(reservoir)
+    sums = np.zeros(gain.shape)
+    sq_sums = np.zeros(gain.shape)
 
-    def accumulate(i, layer, net, y):
-        sums[i] += y[0]
-        sq_sums[i] += y[0] * y[0]
+    def accumulate(rows, net, y):
+        sums[rows] += y
+        sq_sums[rows] += y * y
 
-    count = 0
-    for inputs in sequences:
-        count += run_layers(reservoir, [inputs], on_step=accumulate)[0].shape[0]
+    run_online(reservoir, sequences, gain, bias, accumulate)
+    count = sum(len(inputs) for inputs in sequences)
     if count == 0:
         raise ValueError("no time steps to compute activation statistics from")
     means = sums / count

@@ -38,6 +38,7 @@ __all__ = [
     "effective_matrix",
     "rescale_recurrent",
     "run_layers",
+    "run_online",
     "step_deep",
     "run_sequence",
 ]
@@ -101,6 +102,17 @@ class ReservoirConfig:
         return self.n_layers * self.units_per_layer
 
 
+def _leaky_tanh(states, net, gain, bias, leaky_rate):
+    """The elementwise part of the layer equation: (new states, y).
+
+    y = tanh(gain * net + bias) is the output that the leak mixes into
+    `states`. Every operand broadcasts row by row, so a (k, units) slab
+    of layers gives each row the bits of that row alone.
+    """
+    y = np.tanh(gain * net + bias)
+    return (1.0 - leaky_rate) * states + leaky_rate * y, y
+
+
 @dataclass
 class ReservoirLayer:
     """One leaky-integrator layer with fixed weights.
@@ -136,31 +148,28 @@ class ReservoirLayer:
         """
         return np.matmul(self.feed, drives[:, :, None])[:, :, 0]
 
-    def advance(
-        self, states: np.ndarray, fed: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One step of the layer equation for every row: (new states, net, y).
+    def advance(self, states: np.ndarray, fed: np.ndarray) -> np.ndarray:
+        """One step of the layer equation for every row; the new states.
 
         `states` holds one (units,) state per row and `fed` the matching
-        feed products F d. `net` is F d + W state, before gain and bias;
-        `y` the tanh output that the leak mixes into the state. Each row
-        of W state is bit-equal to `recurrent @ state`: a CSR matrix
-        takes the whole block as columns, and a dense matrix takes one
-        stacked matrix-vector product, since a GEMM would change the bits.
+        feed products F d. Each row of W state is bit-equal to
+        `recurrent @ state`: a CSR matrix takes the whole block as
+        columns, and a dense matrix takes one stacked matrix-vector
+        product, since a GEMM would change the bits.
         """
         if sp.issparse(self.recurrent):
             recurrent = (self.recurrent @ states.T).T
         else:
             recurrent = np.matmul(self.recurrent, states[:, :, None])[:, :, 0]
-        net = fed + recurrent
-        y = np.tanh(self.gain * net + self.bias)
-        return (1.0 - self.leaky_rate) * states + self.leaky_rate * y, net, y
+        return _leaky_tanh(
+            states, fed + recurrent, self.gain, self.bias, self.leaky_rate
+        )[0]
 
     def step(self, state: np.ndarray, drive: np.ndarray) -> np.ndarray:
         """Advance one (units,) state by one time step."""
         state = np.asarray(state, dtype=float)[None]
         drive = np.asarray(drive, dtype=float)[None]
-        return self.advance(state, self.feed_products(drive))[0][0]
+        return self.advance(state, self.feed_products(drive))[0]
 
 
 @dataclass
@@ -294,7 +303,7 @@ def _checked_inputs(reservoir, inputs) -> np.ndarray:
     return inputs
 
 
-def run_layers(reservoir, sequences, states=None, on_step=None) -> list[np.ndarray]:
+def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     """Run the stack over a batch of (T_j, input_dim) sequences.
 
     Returns one (T_j, state_dim) array of states per sequence, in the
@@ -308,11 +317,7 @@ def run_layers(reservoir, sequences, states=None, on_step=None) -> list[np.ndarr
     product, tanh and leak step over time on the block of sequences
     still running. Sequences are ordered longest first, so that block
     shrinks from the bottom as sequences end. Every row is bit-equal to
-    stepping its sequence alone. `on_step(i, layer, net, y)` runs after
-    each step of layer i, with that step's (k, units) blocks, one row per
-    running sequence, and may adapt the gain and bias the next step
-    reads; with more than one sequence, they all step under the same
-    parameters.
+    stepping its sequence alone.
     """
     sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
     if states is None:
@@ -341,20 +346,94 @@ def run_layers(reservoir, sequences, states=None, on_step=None) -> list[np.ndarr
     drives = np.concatenate(sequences)[rows]
     bounds = list(zip(firsts.tolist(), running.tolist()))
     start = 0
-    for i, (layer, state) in enumerate(zip(reservoir.layers, states)):
+    for layer, state in zip(reservoir.layers, states):
         # Each step's feed rows are read once, then hold that step's states.
         block = layer.feed_products(drives)
         prev = np.broadcast_to(
             np.asarray(state, dtype=float), (len(sequences), layer.units)
         )
         for first, k in bounds:
-            prev, net, y = layer.advance(prev[:k], block[first : first + k])
+            prev = layer.advance(prev[:k], block[first : first + k])
             block[first : first + k] = prev
-            if on_step is not None:
-                on_step(i, layer, net, y)
         out[rows, start : start + layer.units] = block
         drives, start = block, start + layer.units
     return [out[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
+
+
+def _block_diagonal(matrices) -> sp.csr_matrix:
+    """The CSR matrices as one block-diagonal CSR matrix.
+
+    Built from each matrix's own arrays, so every row keeps its entries
+    in their order and a product sums each row as the matrix alone would.
+    """
+    n = matrices[0].shape[0]
+    offsets = np.cumsum([0] + [m.nnz for m in matrices])
+    indptr = np.concatenate(
+        [[0]] + [m.indptr[1:] + off for m, off in zip(matrices, offsets)]
+    )
+    indices = np.concatenate([m.indices + i * n for i, m in enumerate(matrices)])
+    data = np.concatenate([m.data for m in matrices])
+    size = n * len(matrices)
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+
+
+def run_online(reservoir, sequences, gain, bias, on_step) -> None:
+    """Run sequences one after another, each from rest, calling back every step.
+
+    `gain` and `bias` are (n_layers, units) stacks that stand in for the
+    layers' own. Layer l at step t reads only layer l - 1 at step t and
+    itself at step t - 1, so a sequence runs in T + n_layers - 1 waves:
+    in wave w, every layer l with 0 <= w - l < T takes its step t = w - l,
+    all of them together as one slab. After each wave,
+    `on_step(rows, net, y)` gets `rows`, the slice of active layers, and
+    their (k, units) net inputs (F d + W x, before gain and bias) and
+    tanh outputs; it may adapt `gain[rows]` and `bias[rows]` in place,
+    and the next wave reads them. Each row is bit-equal to stepping its
+    layer alone: the deeper layers' feeds are one stacked matrix-vector
+    product, and the recurrent products one block-diagonal CSR product
+    (or one stacked product when dense). Every sequence is checked before
+    any runs.
+    """
+    sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
+    layers = reservoir.layers
+    depth, units = len(layers), layers[0].units
+    rates = [layer.leaky_rate for layer in layers]
+    # A rate the layers share broadcasts as a scalar, cheaper than a column.
+    shared = len(set(rates)) == 1
+    leak = rates[0] if shared else np.array(rates)[:, None]
+    if depth > 1:
+        feeds = np.stack([layer.feed for layer in layers[1:]])
+    sparse = sp.issparse(layers[0].recurrent)
+    if sparse:
+        block = _block_diagonal([layer.recurrent for layer in layers])
+    else:
+        dense = np.stack([layer.recurrent for layer in layers])
+    fed = np.empty((depth, units))
+    for inputs in sequences:
+        steps = inputs.shape[0]
+        first = layers[0].feed_products(inputs)
+        states = np.zeros((depth, units))
+        for wave in range(steps + depth - 1 if steps else 0):
+            lo, hi = max(0, wave - steps + 1), min(depth, wave + 1)
+            if lo == 0:
+                fed[0] = first[wave]
+            deep = max(lo, 1)
+            if deep < hi:
+                np.matmul(
+                    feeds[deep - 1 : hi - 1],
+                    states[deep - 1 : hi - 1, :, None],
+                    out=fed[deep:hi, :, None],
+                )
+            if sparse:
+                recurrent = (block @ states.ravel()).reshape(depth, units)[lo:hi]
+            else:
+                recurrent = np.matmul(dense[lo:hi], states[lo:hi, :, None])[:, :, 0]
+            net = fed[lo:hi] + recurrent
+            states[lo:hi], y = _leaky_tanh(
+                states[lo:hi], net, gain[lo:hi], bias[lo:hi],
+                leak if shared else leak[lo:hi],
+            )
+            on_step(slice(lo, hi), net, y)
 
 
 def step_deep(

@@ -140,6 +140,16 @@ class TestPretrain:
             assert np.array_equal(bias, bias0)
             assert not np.array_equal(layer.gain, gain0)
 
+    def test_bad_sequence_adapts_nothing(self):
+        res = small_reservoir()
+        before = [(layer.gain.copy(), layer.bias.copy()) for layer in res.layers]
+        good, bad = self.corpus(steps=50)[0], np.zeros((50, 4))
+        with pytest.raises(ValueError, match="inputs must have shape"):
+            pretrain_ip(res, [good, bad], IpConfig(epochs=1))
+        for layer, (gain, bias) in zip(res.layers, before):
+            assert np.array_equal(layer.gain, gain)
+            assert np.array_equal(layer.bias, bias)
+
     def test_returns_same_reservoir(self):
         res = small_reservoir()
         assert pretrain_ip(res, self.corpus(steps=20), IpConfig(epochs=1)) is res
@@ -190,23 +200,27 @@ def reference_walk(layers, sequences, on_step):
 class TestReferenceLoop:
     """pretrain_ip and activation_statistics equal a per-step loop bit for bit."""
 
+    N_LAYERS, CONNECTIVITY, LENGTHS = 3, 0.2, (80, 80)
     CONFIG = IpConfig(learning_rate=0.05, epochs=2)
+    LEAKY_RATES = ()
 
     def leaky_reservoir(self):
-        return init_deep_reservoir(
+        res = init_deep_reservoir(
             ReservoirConfig(
-                input_dim=3, n_layers=3, units_per_layer=50, leaky_rate=0.5,
-                spectral_radius_target=0.9, input_scaling=1.0,
-                connectivity=0.2, seed=4,
+                input_dim=3, n_layers=self.N_LAYERS, units_per_layer=50,
+                leaky_rate=0.5, spectral_radius_target=0.9, input_scaling=1.0,
+                connectivity=self.CONNECTIVITY, seed=4,
             )
         )
+        for layer, rate in zip(res.layers, self.LEAKY_RATES):
+            layer.leaky_rate = rate
+        return res
 
     def sequences(self):
         rng = np.random.default_rng(5)
-        return [rng.uniform(-1, 1, size=(80, 3)) for _ in range(2)]
+        return [rng.uniform(-1, 1, size=(n, 3)) for n in self.LENGTHS]
 
-    def test_pretrain_matches_reference(self, caplog):
-        seqs = self.sequences()
+    def reference_pretrain(self, seqs):
         expected = self.leaky_reservoir()
 
         def adapt(i, layer, net, y):
@@ -216,6 +230,11 @@ class TestReferenceLoop:
 
         for _ in range(self.CONFIG.epochs):
             reference_walk(expected.layers, seqs, adapt)
+        return expected
+
+    def test_pretrain_matches_reference(self, caplog):
+        seqs = self.sequences()
+        expected = self.reference_pretrain(seqs)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="deepesn.ip"):
             actual = pretrain_ip(self.leaky_reservoir(), seqs, self.CONFIG)
@@ -225,12 +244,24 @@ class TestReferenceLoop:
             assert np.array_equal(got.gain, want.gain)
             assert np.array_equal(got.bias, want.bias)
 
+    def test_clamps_counted_once_per_layer(self, caplog):
+        seqs = self.sequences()
+        with caplog.at_level(logging.WARNING, logger="deepesn.ip"):
+            self.reference_pretrain(seqs)
+            per_step = [r.args[0] for r in caplog.records]
+            caplog.clear()
+            pretrain_ip(self.leaky_reservoir(), seqs, self.CONFIG)
+        per_layer = [r.args[0] for r in caplog.records]
+        assert len(per_layer) <= self.N_LAYERS
+        assert all(r.getMessage().startswith("clamped") for r in caplog.records)
+        assert sum(per_layer) == sum(per_step) > 0
+
     def test_statistics_match_reference(self):
         res = self.leaky_reservoir()
         pretrain_ip(res, self.sequences(), IpConfig(epochs=1))
         seqs = self.sequences()
-        sums = np.zeros((3, 50))
-        sq_sums = np.zeros((3, 50))
+        sums = np.zeros((self.N_LAYERS, 50))
+        sq_sums = np.zeros((self.N_LAYERS, 50))
 
         def accumulate(i, layer, net, y):
             sums[i] += y
@@ -243,3 +274,27 @@ class TestReferenceLoop:
         got_means, got_stds = activation_statistics(res, seqs)
         assert np.array_equal(got_means, means)
         assert np.array_equal(got_stds, stds)
+
+
+# (n_layers, connectivity, sequence lengths, IP config, leaky rates) per
+# edge case: one layer, with no feed stack; dense recurrent matrices;
+# sequences too short to fill the diagonal of waves, with a learning
+# rate that still clamps within their few steps; and layers that do not
+# share one leaky rate.
+EDGE_CASES = {
+    "one-layer": (1, 0.2, (80, 80), TestReferenceLoop.CONFIG, ()),
+    "dense": (3, 1.0, (80, 80), TestReferenceLoop.CONFIG, ()),
+    "short": (3, 0.2, (0, 1, 2), IpConfig(learning_rate=10.0, epochs=2), ()),
+    "mixed-leak": (3, 0.2, (80, 80), TestReferenceLoop.CONFIG, (0.5, 1.0, 0.3)),
+}
+
+
+class TestReferenceLoopEdges(TestReferenceLoop):
+    """The same oracle on the shapes at the edges of the diagonal schedule."""
+
+    @pytest.fixture(autouse=True, params=list(EDGE_CASES))
+    def case(self, request):
+        (
+            self.N_LAYERS, self.CONNECTIVITY, self.LENGTHS, self.CONFIG,
+            self.LEAKY_RATES,
+        ) = EDGE_CASES[request.param]
