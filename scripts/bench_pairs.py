@@ -22,8 +22,8 @@ median). Quartiles, the IQR and `gain` need at least two pairs with
 metrics on both sides; with fewer, the quartiles are null and `gain` is
 false. It also gets every run's metrics, each side's failed/attempted
 operation counts, and `benchmark_identical`: whether BENCHMARK.json and
-perfbench/ in the working tree equal the parent's, without which no
-claim holds.
+perfbench/ in the working tree equal the parent's, with no untracked
+file under them, without which no claim holds.
 """
 
 from __future__ import annotations
@@ -54,13 +54,21 @@ def git(root: str, *args) -> str:
 
 
 def benchmark_identical(root: str, revision: str) -> bool:
-    """Whether the working tree's benchmark files equal those of `revision`."""
+    """Whether the working tree's benchmark files equal those of `revision`.
+
+    A file that git does not track under the benchmark paths counts as a
+    difference: the change side runs from the working tree, where such a
+    file (say, a module that shadows an import) changes what runs.
+    """
     diff = subprocess.run(
         ["git", "diff", "--quiet", revision, "--", *BENCHMARK_PATHS], cwd=root
     )
     if diff.returncode not in (0, 1):
         raise RuntimeError(f"git diff exited {diff.returncode}")
-    return diff.returncode == 0
+    untracked = git(
+        root, "ls-files", "--others", "--exclude-standard", "--", *BENCHMARK_PATHS
+    )
+    return diff.returncode == 0 and not untracked
 
 
 def unpack(root: str, revision: str, dest: str) -> None:

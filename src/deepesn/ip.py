@@ -164,7 +164,9 @@ def pretrain_ip(
         if low is not None:
             clamps[rows] += np.count_nonzero(low, axis=1)
 
-    run_online(reservoir, list(sequences) * config.epochs, gain, bias, adapt)
+    # Convert once, so the repeated epochs share one array per sequence.
+    sequences = [np.asarray(inputs, dtype=float) for inputs in sequences]
+    run_online(reservoir, sequences * config.epochs, gain, bias, adapt)
     for layer, layer_gain, layer_bias, count in zip(
         reservoir.layers, gain, bias, clamps.tolist()
     ):

@@ -397,10 +397,7 @@ def run_online(reservoir, sequences, gain, bias, on_step) -> None:
     sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
     layers = reservoir.layers
     depth, units = len(layers), layers[0].units
-    rates = [layer.leaky_rate for layer in layers]
-    # A rate the layers share broadcasts as a scalar, cheaper than a column.
-    shared = len(set(rates)) == 1
-    leak = rates[0] if shared else np.array(rates)[:, None]
+    leak = np.array([layer.leaky_rate for layer in layers])[:, None]
     if depth > 1:
         feeds = np.stack([layer.feed for layer in layers[1:]])
     sparse = sp.issparse(layers[0].recurrent)
@@ -430,8 +427,7 @@ def run_online(reservoir, sequences, gain, bias, on_step) -> None:
                 recurrent = np.matmul(dense[lo:hi], states[lo:hi, :, None])[:, :, 0]
             net = fed[lo:hi] + recurrent
             states[lo:hi], y = _leaky_tanh(
-                states[lo:hi], net, gain[lo:hi], bias[lo:hi],
-                leak if shared else leak[lo:hi],
+                states[lo:hi], net, gain[lo:hi], bias[lo:hi], leak[lo:hi]
             )
             on_step(slice(lo, hi), net, y)
 

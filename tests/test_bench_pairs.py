@@ -100,5 +100,9 @@ def test_benchmark_identical(bench_pairs, tmp_path):
     assert bench_pairs.benchmark_identical(root, "HEAD")
     (tmp_path / "other.py").write_text("b\n")
     assert bench_pairs.benchmark_identical(root, "HEAD")
+    (tmp_path / "perfbench" / "numpy.py").write_text("shadow\n")
+    assert not bench_pairs.benchmark_identical(root, "HEAD")
+    (tmp_path / "perfbench" / "numpy.py").unlink()
+    assert bench_pairs.benchmark_identical(root, "HEAD")
     (tmp_path / "perfbench" / "run.py").write_text("b\n")
     assert not bench_pairs.benchmark_identical(root, "HEAD")
