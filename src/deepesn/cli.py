@@ -59,9 +59,35 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _destination(args) -> str | None:
+    """The report path: --out, else $DEEPESN_OUT, else None for stdout."""
+    return args.out if args.out is not None else os.environ.get("DEEPESN_OUT")
+
+
+def _check_destination(out: str | None) -> None:
+    """Raise ConfigError unless the report can be written to `out`.
+
+    Checked before any work, so a long grid cannot end with nowhere to
+    put its report.
+    """
+    if out is None:
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        raise ConfigError(f"report destination {out!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigError(
+            f"report destination {out!r}: directory {folder!r} does not exist"
+        )
+    if not os.access(folder, os.W_OK) or (
+        os.path.exists(out) and not os.access(out, os.W_OK)
+    ):
+        raise ConfigError(f"report destination {out!r} is not writable")
+
+
 def _write_report(report: dict, args) -> None:
     """Write to --out, else to $DEEPESN_OUT, else to stdout."""
-    out = args.out if args.out is not None else os.environ.get("DEEPESN_OUT")
+    out = _destination(args)
     text = dump_report(report)
     if out is None:
         sys.stdout.write(text)
@@ -175,6 +201,7 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        _check_destination(_destination(args))
         report = {"schema": REPORT_SCHEMA, "kind": args.command, **args.func(args)}
         _write_report(report, args)
         if args.command == "grid" and report["best"] is None:

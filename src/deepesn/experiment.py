@@ -26,6 +26,7 @@ __all__ = [
     "THRESHOLD_GRID",
     "TrialResult",
     "collect_pairs",
+    "collect_splits",
     "choose_threshold",
     "evaluate_readout",
     "run_model",
@@ -62,14 +63,26 @@ def collect_pairs(
     Sequences too short to contribute any step are skipped. The rest run
     as one batch; each pair's states are a view of the batch's states.
     """
+    return collect_splits(reservoir, [dense_sequences], washout)[0]
+
+
+def collect_splits(reservoir, splits, washout: int = 0) -> list[list]:
+    """`collect_pairs` of every split in `splits`, run as one batch.
+
+    Every row of a batch is bit-equal to running its sequence alone, so
+    this equals collecting split by split; one batch shares each wave's
+    pass over the weights among more sequences.
+    """
     drives, targets = [], []
-    for dense in dense_sequences:
-        inputs, aligned = next_step_pairs(dense)
-        if inputs.shape[0] > washout:
-            drives.append(inputs)
-            targets.append(aligned[washout:])
-    states = run_layers(reservoir, drives)
-    return [(s[washout:], t) for s, t in zip(states, targets)]
+    for dense_sequences in splits:
+        targets.append([])
+        for dense in dense_sequences:
+            inputs, aligned = next_step_pairs(dense)
+            if inputs.shape[0] > washout:
+                drives.append(inputs)
+                targets[-1].append(aligned[washout:])
+    states = iter(run_layers(reservoir, drives))
+    return [[(next(states)[washout:], t) for t in split] for split in targets]
 
 
 def evaluate_readout(readout: RidgeReadout, pairs) -> float:
@@ -107,8 +120,8 @@ def _prepare(dataset, config, ip, washout):
     if ip is not None:
         drives = [seq[:-1] for seq in dense["train"] if seq.shape[0] > 1]
         pretrain_ip(reservoir, drives, ip)
-    train_pairs, valid_pairs, test_pairs = (
-        collect_pairs(reservoir, sequences, washout) for sequences in dense.values()
+    train_pairs, valid_pairs, test_pairs = collect_splits(
+        reservoir, dense.values(), washout
     )
     accumulator = RidgeAccumulator(reservoir.state_dim, dataset.dim)
     for states, targets in train_pairs:

@@ -22,6 +22,7 @@ inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,15 +103,21 @@ class ReservoirConfig:
         return self.n_layers * self.units_per_layer
 
 
-def _leaky_tanh(states, net, gain, bias, leaky_rate):
-    """The elementwise part of the layer equation: (new states, y).
+def _leaky_tanh(states, net, gain, bias, keep, leaky_rate, y, tmp):
+    """The elementwise part of the layer equation, in place.
 
-    y = tanh(gain * net + bias) is the output that the leak mixes into
-    `states`. Every operand broadcasts row by row, so a (k, units) slab
-    of layers gives each row the bits of that row alone.
+    `states` becomes keep * states + a y, with keep = 1 - a and
+    y = tanh(gain * net + bias) written to `y`; `tmp` is a work array of
+    the same shape. The ufuncs run in the order of the equation as
+    written, and every operand broadcasts row by row, so a slab of
+    layers gives each row the bits of that row alone.
     """
-    y = np.tanh(gain * net + bias)
-    return (1.0 - leaky_rate) * states + leaky_rate * y, y
+    np.multiply(gain, net, y)
+    np.add(y, bias, y)
+    np.tanh(y, y)
+    np.multiply(keep, states, states)
+    np.multiply(leaky_rate, y, tmp)
+    np.add(states, tmp, states)
 
 
 @dataclass
@@ -148,36 +155,39 @@ class ReservoirLayer:
         """
         return np.matmul(self.feed, drives[:, :, None])[:, :, 0]
 
-    def advance(self, states: np.ndarray, fed: np.ndarray) -> np.ndarray:
-        """One step of the layer equation for every row; the new states.
-
-        `states` holds one (units,) state per row and `fed` the matching
-        feed products F d. Each row of W state is bit-equal to
-        `recurrent @ state`: a CSR matrix takes the whole block as
-        columns, and a dense matrix takes one stacked matrix-vector
-        product, since a GEMM would change the bits.
-        """
-        if sp.issparse(self.recurrent):
-            recurrent = (self.recurrent @ states.T).T
-        else:
-            recurrent = np.matmul(self.recurrent, states[:, :, None])[:, :, 0]
-        return _leaky_tanh(
-            states, fed + recurrent, self.gain, self.bias, self.leaky_rate
-        )[0]
-
     def step(self, state: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """Advance one (units,) state by one time step."""
-        state = np.asarray(state, dtype=float)[None]
-        drive = np.asarray(drive, dtype=float)[None]
-        return self.advance(state, self.feed_products(drive))[0]
+        """Advance one (units,) state by one time step; a new array."""
+        state = np.array(state, dtype=float)
+        net = self.feed @ np.asarray(drive, dtype=float) + self.recurrent @ state
+        a = self.leaky_rate
+        _leaky_tanh(
+            state, net, self.gain, self.bias, 1.0 - a, a,
+            np.empty_like(state), np.empty_like(state),
+        )
+        return state
 
 
 @dataclass
 class DeepReservoir:
-    """A stack of reservoir layers sharing one configuration."""
+    """A stack of reservoir layers sharing one configuration.
+
+    The layers' weights are stacked once, when the reservoir is made,
+    for the wave kernel of `run_layers`; each layer then holds a view of
+    its slot, so no weight is held twice. A layer whose weight is later
+    replaced gets the stacks rebuilt at the next run.
+    """
 
     config: ReservoirConfig
     layers: list[ReservoirLayer]
+
+    def __post_init__(self):
+        self._stacks = _WeightStacks(self.layers)
+
+    def _weight_stacks(self) -> "_WeightStacks":
+        """The stacked weights, rebuilt if a layer no longer holds its own."""
+        if not self._stacks.held_by(self.layers):
+            self._stacks = _WeightStacks(self.layers)
+        return self._stacks
 
     @property
     def state_dim(self) -> int:
@@ -186,6 +196,93 @@ class DeepReservoir:
     def initial_states(self) -> list[np.ndarray]:
         """Zero state for every layer; sequences start from rest."""
         return [np.zeros(layer.units) for layer in self.layers]
+
+
+def _stack_into(layers, name) -> np.ndarray:
+    """One (k, ...) array of the layers' `name` arrays; each layer gets a view.
+
+    Filled layer by layer, and each layer's own array is dropped as soon
+    as it is copied, so at most one layer's array is held twice at a
+    time. A single layer's array is viewed, not copied.
+    """
+    if len(layers) == 1:
+        stack = np.asarray(getattr(layers[0], name), dtype=float)[None]
+        setattr(layers[0], name, stack[0])
+        return stack
+    stack = np.empty((len(layers),) + np.shape(getattr(layers[0], name)))
+    for layer, slot in zip(layers, stack):
+        slot[...] = getattr(layer, name)
+        setattr(layer, name, slot)
+    return stack
+
+
+def _block_diagonal(matrices) -> sp.csr_matrix:
+    """The CSR matrices as one block-diagonal CSR matrix.
+
+    Built from each matrix's own arrays, so every row keeps its entries
+    in their order and a product sums each row as the matrix alone would.
+    """
+    if len(matrices) == 1:
+        return matrices[0]
+    n = matrices[0].shape[0]
+    offsets = np.cumsum([0] + [m.nnz for m in matrices])
+    indptr = np.concatenate(
+        [[0]] + [m.indptr[1:] + off for m, off in zip(matrices, offsets)]
+    )
+    indices = np.concatenate([m.indices + i * n for i, m in enumerate(matrices)])
+    data = np.concatenate([m.data for m in matrices])
+    size = n * len(matrices)
+    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+
+
+class _WeightStacks:
+    """The layers' weights, stacked for the wave kernel.
+
+    `feeds` is the (n_layers - 1, units, units) stack of the deeper
+    layers' feed matrices, and `dense` the (n_layers, units, units)
+    stack of dense recurrent matrices; each layer holds a view of its
+    slot. Sparse recurrent matrices are joined instead into one
+    block-diagonal CSR matrix, a copy of their sparse arrays (scipy
+    copies a small view of a large array, so a layer keeps its own). The
+    first layer's feed is used as it is.
+    """
+
+    def __init__(self, layers):
+        kinds = {sp.issparse(layer.recurrent) for layer in layers}
+        if len(kinds) > 1:
+            raise ValueError("recurrent matrices must be all sparse or all dense")
+        self.feeds = _stack_into(layers[1:], "feed") if len(layers) > 1 else None
+        self.dense = self._block = None
+        if kinds == {True}:
+            self._sparse = [sp.csr_matrix(layer.recurrent) for layer in layers]
+            self._block = _block_diagonal(self._sparse)
+        else:
+            self.dense = _stack_into(layers, "recurrent")
+        self._held = self._weights_of(layers)
+
+    @staticmethod
+    def _weights_of(layers) -> list:
+        return [layer.recurrent for layer in layers] + [
+            layer.feed for layer in layers[1:]
+        ]
+
+    def held_by(self, layers) -> bool:
+        """Whether `layers` still hold exactly the weights stacked here."""
+        held = self._weights_of(layers)
+        return len(held) == len(self._held) and all(
+            mine is theirs for mine, theirs in zip(self._held, held)
+        )
+
+    def recurrent(self, lo: int, hi: int):
+        """(CSR matrix, first layer it covers) for a wave of layers lo..hi - 1.
+
+        A lone layer takes its own matrix; more layers take the
+        block-diagonal matrix of the whole stack, whose rows of the
+        other layers are computed and not used.
+        """
+        if hi - lo == 1:
+            return self._sparse[lo], lo
+        return self._block, 0
 
 
 def effective_matrix(recurrent, leaky_rate: float):
@@ -303,6 +400,115 @@ def _checked_inputs(reservoir, inputs) -> np.ndarray:
     return inputs
 
 
+def _schedule(lengths: np.ndarray):
+    """Time-major packing of a batch: (order, running, firsts, rows).
+
+    `order` sorts the sequences longest first. The packed rows of step t
+    are the `running[t]` sequences still running at t, in that order,
+    starting at packed row `firsts[t]`; `rows` maps each packed row to
+    its row in the sequence-major layout, where every sequence's steps
+    are contiguous.
+    """
+    starts = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max())
+    running = len(lengths) - np.searchsorted(np.sort(lengths), steps, side="right")
+    firsts = np.cumsum(running) - running
+    step = np.repeat(steps, running)
+    rows = starts[order[np.arange(step.size) - firsts[step]]] + step
+    return order, running, firsts, rows
+
+
+def _waves(stacks, layers, first, running, firsts, states, gain, bias):
+    """The diagonal wave loop over a packed batch; yields once per wave.
+
+    Layer l at step t reads only layer l - 1 at step t and itself at step
+    t - 1, so the batch runs in T + n_layers - 1 waves: in wave w, every
+    layer l with 0 <= w - l < T takes its step t = w - l for the
+    `running[t]` sequences still running, a prefix of the batch. The
+    active layers `lo:hi` step as one (hi - lo, k, units) slab of
+    `states`, the (n_layers, batch, units) state array, updated in place;
+    k is the running count of the deepest active layer, the largest.
+    Slab rows past a layer's own count belong to sequences that have
+    ended; they are computed and never read. `first` holds the first
+    layer's packed feeds, `gain` and `bias` are (n_layers, 1, units).
+
+    Each wave yields (lo, hi, net, y): the slab's net inputs (F d + W x,
+    before gain and bias) and tanh outputs, valid until the next wave.
+    Every row is bit-equal to stepping its layer and sequence alone:
+    - the deeper feeds are stacked matrix-vector products, each
+      `np.matmul` row a GEMV `F @ x`, one call per run of adjacent layers
+      with the same count;
+    - the recurrent products are one product of the stack's
+      block-diagonal CSR matrix with the (n_layers * units, k) block of
+      states, each column summed as `W @ x` sums it (a lone active layer
+      takes its own matrix), or stacked products when dense;
+    - the elementwise update runs in the order of the layer equation.
+    """
+    depth, batch, units = states.shape
+    steps = len(running)
+    leak = np.array([layer.leaky_rate for layer in layers])[:, None, None]
+    keep = 1.0 - leak
+    fed = np.zeros(states.shape)
+    y = np.empty(states.shape)
+    tmp = np.empty(states.shape)
+    # Steps at which a sequence ends: where the running count drops.
+    drops = (np.flatnonzero(running[1:] < running[:-1]) + 1).tolist()
+    running, firsts = running.tolist(), firsts.tolist()
+    shape = None
+    for wave in range(steps + depth - 1):
+        lo, hi = max(0, wave - steps + 1), min(depth, wave + 1)
+        k = running[wave - hi + 1]
+        runs = ((lo, hi, k),)
+        if drops:
+            # Runs of adjacent layers sharing a running count: layer l
+            # and l + 1 differ where step w - l is a drop.
+            cuts = drops[bisect_left(drops, wave - hi + 2) : bisect_right(drops, wave - lo)]
+            edges = [lo] + [wave - t + 1 for t in reversed(cuts)] + [hi]
+            runs = tuple((a, b, running[wave - a]) for a, b in zip(edges, edges[1:]))
+        if runs != shape:
+            # The views of a slab, made again only when its shape changes.
+            shape = runs
+            feed_runs = [
+                (
+                    stacks.feeds[max(a, 1) - 1 : b - 1, None],
+                    states[max(a, 1) - 1 : b - 1, :rows, :, None],
+                    fed[max(a, 1) : b, :rows, :, None],
+                )
+                for a, b, rows in runs
+                if max(a, 1) < b
+            ]
+            if stacks.dense is None:
+                matrix, top = stacks.recurrent(lo, hi)
+                span = matrix.shape[0] // units
+                columns = states[top : top + span, :k].transpose(0, 2, 1)
+            else:
+                dense_runs = [
+                    (stacks.dense[a:b, None], states[a:b, :rows, :, None],
+                     fed[a:b, :rows])
+                    for a, b, rows in runs
+                ]
+            net, out = fed[lo:hi, :k], y[lo:hi, :k]
+            slab = (
+                states[lo:hi, :k], net, gain[lo:hi], bias[lo:hi], keep[lo:hi],
+                leak[lo:hi], out, tmp[lo:hi, :k],
+            )
+        if lo == 0:
+            start = firsts[wave]
+            fed[0, : running[wave]] = first[start : start + running[wave]]
+        for matrices, vectors, products in feed_runs:
+            np.matmul(matrices, vectors, out=products)
+        if stacks.dense is None:
+            product = matrix @ columns.reshape(-1, k)
+            product = product.reshape(span, units, k)[lo - top : hi - top]
+            np.add(net, product.transpose(0, 2, 1), net)
+        else:
+            for matrices, vectors, sums in dense_runs:
+                np.add(sums, np.matmul(matrices, vectors)[..., 0], sums)
+        _leaky_tanh(*slab)
+        yield lo, hi, net, out
+
+
 def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     """Run the stack over a batch of (T_j, input_dim) sequences.
 
@@ -311,13 +517,11 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     one packed array. Every sequence starts from rest, or from
     `states`, one (units,) state per layer.
 
-    The batch goes layer by layer, since layer l is driven only by
-    layer l - 1 at the same step. For each layer, one stacked product
-    computes the feed of every row of the batch; then the recurrent
-    product, tanh and leak step over time on the block of sequences
-    still running. Sequences are ordered longest first, so that block
-    shrinks from the bottom as sequences end. Every row is bit-equal to
-    stepping its sequence alone.
+    The first layer's feeds of every row of the batch are one stacked
+    product, computed up front; then the batch runs on the diagonal
+    waves of `_waves`, longest sequence first, and each wave's new
+    states go straight to their rows of the result with one indexed
+    assignment. Every row is bit-equal to stepping its sequence alone.
     """
     sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
     if states is None:
@@ -330,106 +534,70 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
         )
     if not sequences:
         return []
+    layers = reservoir.layers
+    depth, units = len(layers), layers[0].units
     lengths = np.array([inputs.shape[0] for inputs in sequences])
+    total = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
-    order = np.argsort(-lengths, kind="stable")
-    # Time-major packing: the rows of step t are the sequences still
-    # running at t, longest first. `rows` maps each packed row to its row
-    # of `out`, where every sequence's steps are contiguous.
-    steps = np.arange(lengths.max())
-    running = len(lengths) - np.searchsorted(np.sort(lengths), steps, side="right")
-    firsts = np.cumsum(running) - running
-    step = np.repeat(steps, running)
-    rank = np.arange(step.size) - firsts[step]
-    rows = starts[order[rank]] + step
-    out = np.empty((lengths.sum(), reservoir.state_dim))
-    drives = np.concatenate(sequences)[rows]
-    bounds = list(zip(firsts.tolist(), running.tolist()))
-    start = 0
-    for layer, state in zip(reservoir.layers, states):
-        # Each step's feed rows are read once, then hold that step's states.
-        block = layer.feed_products(drives)
-        prev = np.broadcast_to(
-            np.asarray(state, dtype=float), (len(sequences), layer.units)
-        )
-        for first, k in bounds:
-            prev = layer.advance(prev[:k], block[first : first + k])
-            block[first : first + k] = prev
-        out[rows, start : start + layer.units] = block
-        drives, start = block, start + layer.units
-    return [out[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
-
-
-def _block_diagonal(matrices) -> sp.csr_matrix:
-    """The CSR matrices as one block-diagonal CSR matrix.
-
-    Built from each matrix's own arrays, so every row keeps its entries
-    in their order and a product sums each row as the matrix alone would.
-    """
-    n = matrices[0].shape[0]
-    offsets = np.cumsum([0] + [m.nnz for m in matrices])
-    indptr = np.concatenate(
-        [[0]] + [m.indptr[1:] + off for m, off in zip(matrices, offsets)]
+    # One spare row takes the slab rows of sequences that have ended.
+    out = np.empty((total + 1, reservoir.state_dim))
+    views = [out[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
+    if total == 0:
+        return views
+    order, running, firsts, rows = _schedule(lengths)
+    first = layers[0].feed_products(np.concatenate(sequences)[rows])
+    # Slab row (l, r) of wave w is step w - l of the r-th longest
+    # sequence, so it goes to row (start_r + w - l) * depth + l of `out`
+    # seen as (rows * depth, units): base[l, r] + w * depth. After wave
+    # last[l, r], that step is past the sequence's end.
+    level = np.arange(depth)[:, None]
+    base = starts[order] * depth - level * (depth - 1)
+    last = lengths[order] - 1 + level
+    spare = total * depth
+    flat = out.reshape(-1, units)
+    batch = np.empty((depth, len(sequences), units))
+    batch[...] = np.asarray(states, dtype=float)[:, None]
+    gain = np.array([layer.gain for layer in layers])[:, None]
+    bias = np.array([layer.bias for layer in layers])[:, None]
+    waves = _waves(
+        reservoir._weight_stacks(), layers, first, running, firsts, batch, gain, bias
     )
-    indices = np.concatenate([m.indices + i * n for i, m in enumerate(matrices)])
-    data = np.concatenate([m.data for m in matrices])
-    size = n * len(matrices)
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+    counts = running.tolist()
+    for wave, (lo, hi, net, _) in enumerate(waves):
+        k = net.shape[1]
+        target = base[lo:hi, :k] + wave * depth
+        if counts[wave - lo] < k:
+            target[last[lo:hi, :k] < wave] = spare
+        flat[target] = batch[lo:hi, :k]
+    return views
 
 
 def run_online(reservoir, sequences, gain, bias, on_step) -> None:
-    """Run sequences one after another, each from rest, calling back every step.
+    """Run sequences one after another, each from rest, calling back every wave.
 
     `gain` and `bias` are (n_layers, units) stacks that stand in for the
-    layers' own. Layer l at step t reads only layer l - 1 at step t and
-    itself at step t - 1, so a sequence runs in T + n_layers - 1 waves:
-    in wave w, every layer l with 0 <= w - l < T takes its step t = w - l,
-    all of them together as one slab. After each wave,
-    `on_step(rows, net, y)` gets `rows`, the slice of active layers, and
-    their (k, units) net inputs (F d + W x, before gain and bias) and
-    tanh outputs; it may adapt `gain[rows]` and `bias[rows]` in place,
-    and the next wave reads them. Each row is bit-equal to stepping its
-    layer alone: the deeper layers' feeds are one stacked matrix-vector
-    product, and the recurrent products one block-diagonal CSR product
-    (or one stacked product when dense). Every sequence is checked before
-    any runs.
+    layers' own. Each sequence is a batch of one on the diagonal waves of
+    `_waves`. After each wave, `on_step(rows, net, y)` gets `rows`, the
+    slice of active layers, and their (k, units) net inputs (F d + W x,
+    before gain and bias) and tanh outputs; it may adapt `gain[rows]`
+    and `bias[rows]` in place, and the next wave reads them. Every
+    sequence is checked before any runs.
     """
     sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
     layers = reservoir.layers
-    depth, units = len(layers), layers[0].units
-    leak = np.array([layer.leaky_rate for layer in layers])[:, None]
-    if depth > 1:
-        feeds = np.stack([layer.feed for layer in layers[1:]])
-    sparse = sp.issparse(layers[0].recurrent)
-    if sparse:
-        block = _block_diagonal([layer.recurrent for layer in layers])
-    else:
-        dense = np.stack([layer.recurrent for layer in layers])
-    fed = np.empty((depth, units))
+    stacks = reservoir._weight_stacks()
+    states = np.empty((len(layers), 1, layers[0].units))
     for inputs in sequences:
-        steps = inputs.shape[0]
+        if not inputs.shape[0]:
+            continue
+        _, running, firsts, _ = _schedule(np.array([inputs.shape[0]]))
+        states[...] = 0.0
         first = layers[0].feed_products(inputs)
-        states = np.zeros((depth, units))
-        for wave in range(steps + depth - 1 if steps else 0):
-            lo, hi = max(0, wave - steps + 1), min(depth, wave + 1)
-            if lo == 0:
-                fed[0] = first[wave]
-            deep = max(lo, 1)
-            if deep < hi:
-                np.matmul(
-                    feeds[deep - 1 : hi - 1],
-                    states[deep - 1 : hi - 1, :, None],
-                    out=fed[deep:hi, :, None],
-                )
-            if sparse:
-                recurrent = (block @ states.ravel()).reshape(depth, units)[lo:hi]
-            else:
-                recurrent = np.matmul(dense[lo:hi], states[lo:hi, :, None])[:, :, 0]
-            net = fed[lo:hi] + recurrent
-            states[lo:hi], y = _leaky_tanh(
-                states[lo:hi], net, gain[lo:hi], bias[lo:hi], leak[lo:hi]
-            )
-            on_step(slice(lo, hi), net, y)
+        waves = _waves(
+            stacks, layers, first, running, firsts, states, gain[:, None], bias[:, None]
+        )
+        for lo, hi, net, y in waves:
+            on_step(slice(lo, hi), net[:, 0], y[:, 0])
 
 
 def step_deep(
@@ -440,7 +608,7 @@ def step_deep(
     Layer l sees the state that layer l - 1 reached in this same call.
     """
     row = run_layers(reservoir, [[inputs]], states)[0][0]
-    return np.split(row, len(reservoir.layers))
+    return list(row.reshape(len(reservoir.layers), -1))
 
 
 def run_sequence(

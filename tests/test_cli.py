@@ -309,6 +309,30 @@ class TestMainCommands:
         assert main(["validate-data", dataset_file]) == 0
         assert json.loads(out.read_text())["valid"] is True
 
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_unwritable_destination_exits_2_before_work(
+        self, dataset_file, tmp_path, capsys, monkeypatch, command, via_env
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the destination was checked")
+
+        monkeypatch.setattr("deepesn.cli.run_model", no_work)
+        monkeypatch.setattr("deepesn.cli.grid_search", no_work)
+        out = str(tmp_path / "no" / "such" / "dir" / "r.json")
+        argv = [command, dataset_file, "--config", write_config(tmp_path, SMALL)]
+        if via_env:
+            monkeypatch.setenv("DEEPESN_OUT", out)
+        else:
+            argv += ["--out", out]
+        assert main(argv) == 2
+        assert out in capsys.readouterr().err
+
+    def test_directory_destination_exits_2(self, dataset_file, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL)
+        assert main(["run", dataset_file, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
     def test_missing_dataset_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL)
         assert main(["run", str(tmp_path / "nope.json"), "--config", cfg]) == 2

@@ -8,11 +8,17 @@ from deepesn.experiment import (
     THRESHOLD_GRID,
     choose_threshold,
     collect_pairs,
+    collect_splits,
     run_model,
     sweep_ridges,
 )
 from deepesn.ip import IpConfig
-from deepesn.reservoir import ReservoirConfig, init_deep_reservoir, run_sequence
+from deepesn.reservoir import (
+    ReservoirConfig,
+    init_deep_reservoir,
+    run_layers,
+    run_sequence,
+)
 
 
 def small_config(dim, **overrides):
@@ -55,10 +61,11 @@ class TestCollectPairs:
 class TestBatchOracle:
     """One batch over unequal sequences equals running each one alone."""
 
+    @pytest.mark.parametrize("n_layers", [1, 3, 6])
     @pytest.mark.parametrize("connectivity", [0.2, 1.0])
-    def test_pairs_match_reference_per_sequence(self, connectivity):
+    def test_pairs_match_reference_per_sequence(self, connectivity, n_layers):
         res = init_deep_reservoir(
-            small_config(4, n_layers=3, connectivity=connectivity)
+            small_config(4, n_layers=n_layers, connectivity=connectivity)
         )
         rng = np.random.default_rng(12)
         for layer in res.layers:
@@ -69,12 +76,46 @@ class TestBatchOracle:
         pairs = collect_pairs(res, dense, washout=2)
         kept = [seq for seq in dense if seq.shape[0] > 3]
         assert len(pairs) == len(kept) == 5
-        rest = [np.zeros(30)] * 3
+        rest = [np.zeros(30)] * n_layers
         for (states, targets), seq in zip(pairs, kept):
             inputs, aligned = next_step_pairs(seq)
             expected = reference_stack(res.layers, inputs, rest)[2:]
             assert np.array_equal(states, expected)
             assert np.array_equal(targets, aligned[2:])
+
+
+    @pytest.mark.parametrize("connectivity", [0.2, 1.0])
+    def test_sequences_ending_before_the_diagonal_fills(self, connectivity):
+        # 6 layers take 6 waves to fill; every sequence here ends sooner
+        res = init_deep_reservoir(
+            small_config(4, n_layers=6, connectivity=connectivity)
+        )
+        rng = np.random.default_rng(13)
+        for layer in res.layers:
+            layer.gain = rng.uniform(0.5, 1.5, size=30)
+            layer.bias = rng.uniform(-0.2, 0.2, size=30)
+        start = [rng.uniform(-1, 1, size=30) for _ in range(6)]
+        inputs = [rng.uniform(-1, 1, size=(n, 4)) for n in (0, 1, 2, 7)]
+        got = run_layers(res, inputs, start)
+        assert [s.shape for s in got] == [(n, 180) for n in (0, 1, 2, 7)]
+        for states, seq in zip(got, inputs):
+            assert np.array_equal(states, reference_stack(res.layers, seq, start))
+
+    def test_splits_in_one_batch_match_split_by_split(self):
+        res = init_deep_reservoir(small_config(4, n_layers=3))
+        rng = np.random.default_rng(14)
+        splits = [
+            [rng.uniform(-1, 1, size=(n, 4)) for n in lengths]
+            for lengths in ((12, 30, 2), (25,), (8, 19))
+        ]
+        merged = collect_splits(res, splits, washout=1)
+        assert len(merged) == 3
+        for pairs, split in zip(merged, splits):
+            alone = collect_pairs(res, split, washout=1)
+            assert len(pairs) == len(alone)
+            for (states, targets), (states1, targets1) in zip(pairs, alone):
+                assert np.array_equal(states, states1)
+                assert np.array_equal(targets, targets1)
 
 
 class TestChooseThreshold:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -276,6 +278,56 @@ class TestStackOracle:
 
     def test_zero_length_input(self):
         assert run_sequence(self.res, np.zeros((0, 4))).shape == (0, 90)
+
+
+def weight_bytes(reservoir):
+    total = 0
+    for layer in reservoir.layers:
+        total += layer.feed.nbytes
+        recurrent = layer.recurrent
+        if sp.issparse(recurrent):
+            total += recurrent.data.nbytes + recurrent.indices.nbytes
+            total += recurrent.indptr.nbytes
+        else:
+            total += recurrent.nbytes
+    return total
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoWeightCopies:
+    """A kernel call allocates far less than the weights it reads.
+
+    The stacked weights are built with the reservoir, so a call that
+    stacked or copied them again would peak near their size.
+    """
+
+    @pytest.mark.parametrize("connectivity", [1.0, 0.2])
+    def test_calls_peak_below_a_tenth_of_the_weights(self, connectivity):
+        res = init_deep_reservoir(
+            small_config(n_layers=3, units_per_layer=300, connectivity=connectivity)
+        )
+        limit = 0.1 * weight_bytes(res)
+        inputs = np.random.default_rng(15).uniform(-1, 1, size=(5, 4))
+        states = res.initial_states()
+        assert traced_peak(lambda: step_deep(res, states, inputs[0])) < limit
+        assert traced_peak(lambda: run_sequence(res, inputs)) < limit
+
+    def test_replaced_weights_are_used(self):
+        res = init_deep_reservoir(small_config(n_layers=3))
+        inputs = np.random.default_rng(16).uniform(-1, 1, size=(20, 4))
+        run_sequence(res, inputs)
+        res.layers[1].feed = 2.0 * res.layers[1].feed
+        res.layers[2].recurrent = 0.5 * res.layers[2].recurrent
+        expected = reference_stack(res.layers, inputs, res.initial_states())
+        assert np.array_equal(run_sequence(res, inputs), expected)
 
 
 class TestKernelChecks:
