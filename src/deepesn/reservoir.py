@@ -445,7 +445,7 @@ def _waves(stacks, layers, first, running, firsts, states, gain, bias):
       takes its own matrix), or stacked products when dense;
     - the elementwise update runs in the order of the layer equation.
     """
-    depth, batch, units = states.shape
+    depth, _, units = states.shape
     steps = len(running)
     leak = np.array([layer.leaky_rate for layer in layers])[:, None, None]
     keep = 1.0 - leak

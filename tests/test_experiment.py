@@ -61,8 +61,12 @@ class TestCollectPairs:
 class TestBatchOracle:
     """One batch over unequal sequences equals running each one alone."""
 
-    @pytest.mark.parametrize("n_layers", [1, 3, 6])
-    @pytest.mark.parametrize("connectivity", [0.2, 1.0])
+    # The 3-layer cases keep the ids they had before depth was a parameter.
+    @pytest.mark.parametrize(
+        "connectivity, n_layers",
+        [(0.2, 3), (1.0, 3), (0.2, 1), (1.0, 1), (0.2, 6), (1.0, 6)],
+        ids=["0.2", "1.0", "0.2-1", "1.0-1", "0.2-6", "1.0-6"],
+    )
     def test_pairs_match_reference_per_sequence(self, connectivity, n_layers):
         res = init_deep_reservoir(
             small_config(4, n_layers=n_layers, connectivity=connectivity)
