@@ -172,9 +172,10 @@ class DeepReservoir:
     """A stack of reservoir layers sharing one configuration.
 
     The layers' weights are stacked once, when the reservoir is made,
-    for the wave kernel of `run_layers`; each layer then holds a view of
-    its slot, so no weight is held twice. A layer whose weight is later
-    replaced gets the stacks rebuilt at the next run.
+    for the wave kernel (`_WeightStacks`); each layer holds a view of its
+    slot of a dense stack, so no dense weight is held twice. A layer
+    whose weight is later replaced gets the stacks rebuilt at the next
+    run.
     """
 
     config: ReservoirConfig
