@@ -16,6 +16,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from .errors import ConfigError
 from .ip import IpConfig
@@ -44,20 +45,12 @@ DEFAULTS = {
         "input_scaling": 1.0,
         "connectivity": 0.01,
     },
-    "ip": {
-        "enabled": False,
-        "target_mean": 0.0,
-        "target_std": 0.1,
-        "learning_rate": 1e-3,
-        "epochs": 5,
-    },
+    "ip": {"enabled": False, **asdict(IpConfig())},
     "readout": {"ridge": 1e-3, "threshold": 0.5, "tune_threshold": False},
+    # JSON has lists, not tuples.
     "grid": {
-        "spectral_radii": [0.1, 0.3, 0.5, 0.7, 0.9, 1.0],
-        "leaky_rates": [0.1, 0.3, 0.5, 0.7, 0.9, 1.0],
-        "input_scalings": [0.5, 1.5, 2.5],
-        "ridges": [1e-4, 1e-3, 1e-2, 1e-1],
-        "n_guesses": 5,
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in asdict(GridSpec()).items()
     },
 }
 

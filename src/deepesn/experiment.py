@@ -112,6 +112,11 @@ def _prepare(dataset, config, ip, washout):
     """Build, optionally pre-train, and collect states for all splits."""
     dense = {split: dataset.dense(split) for split in SPLIT_NAMES}
     for split, sequences in dense.items():
+        if all(seq.shape[0] < 2 for seq in sequences):
+            raise ConfigError(
+                f"no {split} sequence has two frames, so there is no {split} "
+                "step to fit or score on"
+            )
         if all(seq.shape[0] - 1 <= washout for seq in sequences):
             raise ConfigError(
                 f"washout {washout} leaves no {split} step to fit or score on"

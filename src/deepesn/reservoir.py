@@ -22,7 +22,6 @@ inputs.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,14 +146,6 @@ class ReservoirLayer:
     def units(self) -> int:
         return self.feed.shape[0]
 
-    def feed_products(self, drives: np.ndarray) -> np.ndarray:
-        """F d for every row d of (k, fan_in) `drives`, shape (k, units).
-
-        One stacked matrix-vector product: each row is bit-equal to
-        `feed @ d`. A GEMM (`drives @ feed.T`) is not, so it is not used.
-        """
-        return np.matmul(self.feed, drives[:, :, None])[:, :, 0]
-
     def step(self, state: np.ndarray, drive: np.ndarray) -> np.ndarray:
         """Advance one (units,) state by one time step; a new array."""
         state = np.array(state, dtype=float)
@@ -175,19 +166,20 @@ class DeepReservoir:
     for the wave kernel (`_WeightStacks`); each layer holds a view of its
     slot of a dense stack, so no dense weight is held twice. A layer
     whose weight is later replaced gets the stacks rebuilt at the next
-    run.
+    run. Layers whose count or weight shapes differ from `config` raise
+    ValueError, when the reservoir is made or the stacks are rebuilt.
     """
 
     config: ReservoirConfig
     layers: list[ReservoirLayer]
 
     def __post_init__(self):
-        self._stacks = _WeightStacks(self.layers)
+        self._stacks = _WeightStacks(self.config, self.layers)
 
     def _weight_stacks(self) -> "_WeightStacks":
         """The stacked weights, rebuilt if a layer no longer holds its own."""
         if not self._stacks.held_by(self.layers):
-            self._stacks = _WeightStacks(self.layers)
+            self._stacks = _WeightStacks(self.config, self.layers)
         return self._stacks
 
     @property
@@ -236,23 +228,40 @@ def _block_diagonal(matrices) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
 
+def _check_layers(config, layers) -> None:
+    """Raise ValueError unless `layers` has the count and shapes of `config`."""
+    if len(layers) != config.n_layers:
+        raise ValueError(f"config has {config.n_layers} layers, got {len(layers)}")
+    n = config.units_per_layer
+    for index, layer in enumerate(layers):
+        fan_in = config.input_dim if index == 0 else n
+        for name, shape in (("feed", (n, fan_in)), ("recurrent", (n, n))):
+            got = np.shape(getattr(layer, name))
+            if got != shape:
+                raise ValueError(
+                    f"layer {index}: {name} must have shape {shape}, got {got}"
+                )
+
+
 class _WeightStacks:
-    """The layers' weights, stacked for the wave kernel.
+    """The layers' weights, checked against the config and stacked.
 
     `feeds` is the (n_layers - 1, units, units) stack of the deeper
-    layers' feed matrices, and `dense` the (n_layers, units, units)
-    stack of dense recurrent matrices; each layer holds a view of its
-    slot. Sparse recurrent matrices are joined instead into one
-    block-diagonal CSR matrix, a copy of their sparse arrays (scipy
-    copies a small view of a large array, so a layer keeps its own). The
-    first layer's feed is used as it is.
+    layers' feed matrices (empty for one layer), and `dense` the
+    (n_layers, units, units) stack of dense recurrent matrices; each
+    layer holds a view of its slot. Sparse recurrent matrices are joined
+    instead into one block-diagonal CSR matrix, a copy of their sparse
+    arrays (scipy copies a small view of a large array, so a layer keeps
+    its own). The first layer's feed is used as it is.
     """
 
-    def __init__(self, layers):
+    def __init__(self, config, layers):
+        _check_layers(config, layers)
         kinds = {sp.issparse(layer.recurrent) for layer in layers}
         if len(kinds) > 1:
             raise ValueError("recurrent matrices must be all sparse or all dense")
-        self.feeds = _stack_into(layers[1:], "feed") if len(layers) > 1 else None
+        n = config.units_per_layer
+        self.feeds = _stack_into(layers[1:], "feed") if layers[1:] else np.empty((0, n, n))
         self.dense = self._block = None
         if kinds == {True}:
             self._sparse = [sp.csr_matrix(layer.recurrent) for layer in layers]
@@ -263,9 +272,7 @@ class _WeightStacks:
 
     @staticmethod
     def _weights_of(layers) -> list:
-        return [layer.recurrent for layer in layers] + [
-            layer.feed for layer in layers[1:]
-        ]
+        return [layer.recurrent for layer in layers] + [layer.feed for layer in layers]
 
     def held_by(self, layers) -> bool:
         """Whether `layers` still hold exactly the weights stacked here."""
@@ -402,26 +409,24 @@ def _checked_inputs(reservoir, inputs) -> np.ndarray:
 
 
 def _schedule(lengths: np.ndarray):
-    """Time-major packing of a batch: (order, running, firsts, rows).
+    """Where every step of a batch goes: (running, dest).
 
-    `order` sorts the sequences longest first. The packed rows of step t
-    are the `running[t]` sequences still running at t, in that order,
-    starting at packed row `firsts[t]`; `rows` maps each packed row to
-    its row in the sequence-major layout, where every sequence's steps
-    are contiguous.
+    The batch is taken longest first. `running[t]` counts the sequences
+    still running at step t, a prefix of that order. `dest[t, r]` is the
+    row of step t of the r-th longest sequence in the sequence-major
+    layout, where every sequence's steps are contiguous, or the spare
+    row `lengths.sum()` once that sequence has ended.
     """
-    starts = np.cumsum(lengths) - lengths
     order = np.argsort(-lengths, kind="stable")
-    steps = np.arange(lengths.max())
-    running = len(lengths) - np.searchsorted(np.sort(lengths), steps, side="right")
-    firsts = np.cumsum(running) - running
-    step = np.repeat(steps, running)
-    rows = starts[order[np.arange(step.size) - firsts[step]]] + step
-    return order, running, firsts, rows
+    steps = np.arange(lengths.max())[:, None]
+    starts = np.cumsum(lengths) - lengths
+    ended = steps >= lengths[order]
+    dest = np.where(ended, lengths.sum(), starts[order] + steps)
+    return (len(lengths) - ended.sum(axis=1)).tolist(), dest
 
 
-def _waves(stacks, layers, first, running, firsts, states, gain, bias):
-    """The diagonal wave loop over a packed batch; yields once per wave.
+def _waves(stacks, layers, inputs, running, states, gain, bias):
+    """The diagonal wave loop over a batch; yields once per wave.
 
     Layer l at step t reads only layer l - 1 at step t and itself at step
     t - 1, so the batch runs in T + n_layers - 1 waves: in wave w, every
@@ -431,19 +436,20 @@ def _waves(stacks, layers, first, running, firsts, states, gain, bias):
     `states`, the (n_layers, batch, units) state array, updated in place;
     k is the running count of the deepest active layer, the largest.
     Slab rows past a layer's own count belong to sequences that have
-    ended; they are computed and never read. `first` holds the first
-    layer's packed feeds, `gain` and `bias` are (n_layers, 1, units).
+    ended; they are computed and never read. `inputs` is the (T, batch,
+    input_dim) table of the first layer's drives; `gain` and `bias` are
+    (n_layers, 1, units).
 
     Each wave yields (lo, hi, net, y): the slab's net inputs (F d + W x,
     before gain and bias) and tanh outputs, valid until the next wave.
     Every row is bit-equal to stepping its layer and sequence alone:
-    - the deeper feeds are stacked matrix-vector products, each
-      `np.matmul` row a GEMV `F @ x`, one call per run of adjacent layers
-      with the same count;
+    - the feeds are stacked matrix-vector products, each `np.matmul` row
+      a GEMV `F @ d`: one call for the first layer's k rows, one for the
+      deeper layers' slab;
     - the recurrent products are one product of the stack's
       block-diagonal CSR matrix with the (n_layers * units, k) block of
       states, each column summed as `W @ x` sums it (a lone active layer
-      takes its own matrix), or stacked products when dense;
+      takes its own matrix), or one stacked product when dense;
     - the elementwise update runs in the order of the layer equation.
     """
     depth, _, units = states.shape
@@ -453,59 +459,37 @@ def _waves(stacks, layers, first, running, firsts, states, gain, bias):
     fed = np.zeros(states.shape)
     y = np.empty(states.shape)
     tmp = np.empty(states.shape)
-    # Steps at which a sequence ends: where the running count drops.
-    drops = (np.flatnonzero(running[1:] < running[:-1]) + 1).tolist()
-    running, firsts = running.tolist(), firsts.tolist()
     shape = None
     for wave in range(steps + depth - 1):
         lo, hi = max(0, wave - steps + 1), min(depth, wave + 1)
         k = running[wave - hi + 1]
-        runs = ((lo, hi, k),)
-        if drops:
-            # Runs of adjacent layers sharing a running count: layer l
-            # and l + 1 differ where step w - l is a drop.
-            cuts = drops[bisect_left(drops, wave - hi + 2) : bisect_right(drops, wave - lo)]
-            edges = [lo] + [wave - t + 1 for t in reversed(cuts)] + [hi]
-            runs = tuple((a, b, running[wave - a]) for a, b in zip(edges, edges[1:]))
-        if runs != shape:
+        if (lo, hi, k) != shape:
             # The views of a slab, made again only when its shape changes.
-            shape = runs
-            feed_runs = [
-                (
-                    stacks.feeds[max(a, 1) - 1 : b - 1, None],
-                    states[max(a, 1) - 1 : b - 1, :rows, :, None],
-                    fed[max(a, 1) : b, :rows, :, None],
-                )
-                for a, b, rows in runs
-                if max(a, 1) < b
-            ]
+            shape = lo, hi, k
+            deeper = max(lo, 1)
+            feeds = stacks.feeds[deeper - 1 : hi - 1, None]
+            below = states[deeper - 1 : hi - 1, :k, :, None]
+            fed_deeper = fed[deeper:hi, :k, :, None]
             if stacks.dense is None:
                 matrix, top = stacks.recurrent(lo, hi)
                 span = matrix.shape[0] // units
                 columns = states[top : top + span, :k].transpose(0, 2, 1)
             else:
-                dense_runs = [
-                    (stacks.dense[a:b, None], states[a:b, :rows, :, None],
-                     fed[a:b, :rows])
-                    for a, b, rows in runs
-                ]
+                dense = stacks.dense[lo:hi, None], states[lo:hi, :k, :, None]
             net, out = fed[lo:hi, :k], y[lo:hi, :k]
             slab = (
                 states[lo:hi, :k], net, gain[lo:hi], bias[lo:hi], keep[lo:hi],
                 leak[lo:hi], out, tmp[lo:hi, :k],
             )
         if lo == 0:
-            start = firsts[wave]
-            fed[0, : running[wave]] = first[start : start + running[wave]]
-        for matrices, vectors, products in feed_runs:
-            np.matmul(matrices, vectors, out=products)
+            np.matmul(layers[0].feed, inputs[wave, :k, :, None], out=fed[0, :k, :, None])
+        np.matmul(feeds, below, out=fed_deeper)
         if stacks.dense is None:
             product = matrix @ columns.reshape(-1, k)
             product = product.reshape(span, units, k)[lo - top : hi - top]
             np.add(net, product.transpose(0, 2, 1), net)
         else:
-            for matrices, vectors, sums in dense_runs:
-                np.add(sums, np.matmul(matrices, vectors)[..., 0], sums)
+            np.add(net, np.matmul(*dense)[..., 0], net)
         _leaky_tanh(*slab)
         yield lo, hi, net, out
 
@@ -518,11 +502,10 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     one packed array. Every sequence starts from rest, or from
     `states`, one (units,) state per layer.
 
-    The first layer's feeds of every row of the batch are one stacked
-    product, computed up front; then the batch runs on the diagonal
-    waves of `_waves`, longest sequence first, and each wave's new
-    states go straight to their rows of the result with one indexed
-    assignment. Every row is bit-equal to stepping its sequence alone.
+    The batch runs on the diagonal waves of `_waves`, longest sequence
+    first, and each wave's new states go straight to their rows of the
+    result with one indexed assignment. Every row is bit-equal to
+    stepping its sequence alone.
     """
     sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
     if states is None:
@@ -545,31 +528,25 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     views = [out[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
     if total == 0:
         return views
-    order, running, firsts, rows = _schedule(lengths)
-    first = layers[0].feed_products(np.concatenate(sequences)[rows])
-    # Slab row (l, r) of wave w is step w - l of the r-th longest
-    # sequence, so it goes to row (start_r + w - l) * depth + l of `out`
-    # seen as (rows * depth, units): base[l, r] + w * depth. After wave
-    # last[l, r], that step is past the sequence's end.
-    level = np.arange(depth)[:, None]
-    base = starts[order] * depth - level * (depth - 1)
-    last = lengths[order] - 1 + level
-    spare = total * depth
-    flat = out.reshape(-1, units)
+    running, dest = _schedule(lengths)
+    # The spare row of the drives is zero: an ended sequence's input.
+    drives = np.concatenate(sequences + [np.zeros((1, reservoir.config.input_dim))])
     batch = np.empty((depth, len(sequences), units))
     batch[...] = np.asarray(states, dtype=float)[:, None]
     gain = np.array([layer.gain for layer in layers])[:, None]
     bias = np.array([layer.bias for layer in layers])[:, None]
     waves = _waves(
-        reservoir._weight_stacks(), layers, first, running, firsts, batch, gain, bias
+        reservoir._weight_stacks(), layers, drives[dest], running, batch, gain, bias
     )
-    counts = running.tolist()
+    # Slab row (l, r) of wave w is step w - l of the r-th longest
+    # sequence: layer l of row dest[w - l, r] of `out`. Read backwards in
+    # time, the table has the rows of layers lo..hi - 1 as one slice.
+    layered = out.reshape(total + 1, depth, units)
+    back, last = dest[::-1], len(running) - 1
+    level = np.arange(depth)[:, None]
     for wave, (lo, hi, net, _) in enumerate(waves):
-        k = net.shape[1]
-        target = base[lo:hi, :k] + wave * depth
-        if counts[wave - lo] < k:
-            target[last[lo:hi, :k] < wave] = spare
-        flat[target] = batch[lo:hi, :k]
+        k, at = net.shape[1], last - wave
+        layered[back[at + lo : at + hi, :k], level[lo:hi]] = batch[lo:hi, :k]
     return views
 
 
@@ -591,11 +568,10 @@ def run_online(reservoir, sequences, gain, bias, on_step) -> None:
     for inputs in sequences:
         if not inputs.shape[0]:
             continue
-        _, running, firsts, _ = _schedule(np.array([inputs.shape[0]]))
         states[...] = 0.0
-        first = layers[0].feed_products(inputs)
         waves = _waves(
-            stacks, layers, first, running, firsts, states, gain[:, None], bias[:, None]
+            stacks, layers, inputs[:, None], [1] * inputs.shape[0], states,
+            gain[:, None], bias[:, None],
         )
         for lo, hi, net, y in waves:
             on_step(slice(lo, hi), net[:, 0], y[:, 0])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from itertools import product
 from multiprocessing import Pool
 
@@ -176,20 +177,10 @@ def guess_seed(master_seed: int, arch_index: int, guess: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint32)[0])
 
 
-def _run_work(item):
+def _run_work(config, dataset, ridges, **settings):
     """Run one (configuration cell, guess) ridge sweep; never raises."""
-    dataset, config, ridges, ip, washout, threshold, tune = item
     try:
-        results = sweep_ridges(
-            dataset,
-            config,
-            ridges,
-            ip=ip,
-            washout=washout,
-            threshold=threshold,
-            tune_threshold=tune,
-        )
-        return "ok", results
+        return "ok", sweep_ridges(dataset, config, ridges, **settings)
     except Exception as exc:  # report the failure, keep the search going
         return "failed", f"{type(exc).__name__}: {exc}"
 
@@ -245,7 +236,7 @@ def grid_search(
         product(grid.spectral_radii, grid.leaky_rates, grid.input_scalings)
     )
     work_meta = []
-    work_items = []
+    configs = []
     for arch_index, (rho, rate, scaling) in enumerate(arch_cells):
         for guess in range(grid.n_guesses):
             seed = guess_seed(master_seed, arch_index, guess)
@@ -258,14 +249,16 @@ def grid_search(
                 seed=seed,
             )
             work_meta.append((arch_index, rho, rate, scaling, guess, seed))
-            work_items.append(
-                (dataset, config, grid.ridges, ip, washout, threshold, tune_threshold)
-            )
+            configs.append(config)
+    run = partial(
+        _run_work, dataset=dataset, ridges=grid.ridges, ip=ip, washout=washout,
+        threshold=threshold, tune_threshold=tune_threshold,
+    )
     if workers == 1:
-        outcomes = [_run_work(item) for item in work_items]
+        outcomes = list(map(run, configs))
     else:
-        with Pool(processes=workers) as pool:
-            outcomes = pool.map(_run_work, work_items)
+        with Pool(processes=min(workers, len(configs))) as pool:
+            outcomes = pool.map(run, configs)
 
     trials = []
     for (arch_index, rho, rate, scaling, guess, seed), (status, payload) in zip(
@@ -329,7 +322,7 @@ def units_for_budget(param_fn, budget: int) -> int:
     """Largest unit count whose parameter total stays within `budget`.
 
     `param_fn` maps a unit count to a parameter total and must be
-    nondecreasing; the search is by doubling plus bisection.
+    nondecreasing; the search doubles, then halves the interval.
     """
     if param_fn(1) > budget:
         raise ValueError(f"budget {budget} is below the one-unit size {param_fn(1)}")

@@ -389,6 +389,24 @@ class TestMainCommands:
         assert main(["run", dataset_file, "--config", cfg]) == 2
         assert "washout 55 leaves no valid step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "valid", [[], [[[1]], [[2, 3]]]], ids=["empty", "single-frames"]
+    )
+    def test_split_without_a_step_exits_2(self, dataset_file, tmp_path, capsys, valid):
+        # the format allows such a split; no washout can make it usable
+        with open(dataset_file, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["splits"]["valid"] = valid
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(obj))
+        assert main(["validate-data", str(path)]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path, SMALL)
+        assert main(["run", str(path), "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "no valid sequence has two frames" in err
+        assert "washout" not in err
+
     def test_grid_without_successful_trial_exits_1(
         self, dataset_file, tmp_path, capsys
     ):

@@ -88,9 +88,16 @@ class TestBatchOracle:
             assert np.array_equal(targets, aligned[2:])
 
 
-    @pytest.mark.parametrize("connectivity", [0.2, 1.0])
-    def test_sequences_ending_before_the_diagonal_fills(self, connectivity):
-        # 6 layers take 6 waves to fill; every sequence here ends sooner
+    # The first lengths end before 6 layers take 6 waves to fill; the
+    # others end on consecutive steps, so one wave's slab spans six
+    # running counts. The first cases keep their ids.
+    @pytest.mark.parametrize(
+        "connectivity, lengths",
+        [(0.2, (0, 1, 2, 7)), (1.0, (0, 1, 2, 7)),
+         (0.2, (9, 8, 7, 6, 5, 4, 3)), (1.0, (9, 8, 7, 6, 5, 4, 3))],
+        ids=["0.2", "1.0", "0.2-consecutive", "1.0-consecutive"],
+    )
+    def test_sequences_ending_before_the_diagonal_fills(self, connectivity, lengths):
         res = init_deep_reservoir(
             small_config(4, n_layers=6, connectivity=connectivity)
         )
@@ -99,9 +106,9 @@ class TestBatchOracle:
             layer.gain = rng.uniform(0.5, 1.5, size=30)
             layer.bias = rng.uniform(-0.2, 0.2, size=30)
         start = [rng.uniform(-1, 1, size=30) for _ in range(6)]
-        inputs = [rng.uniform(-1, 1, size=(n, 4)) for n in (0, 1, 2, 7)]
+        inputs = [rng.uniform(-1, 1, size=(n, 4)) for n in lengths]
         got = run_layers(res, inputs, start)
-        assert [s.shape for s in got] == [(n, 180) for n in (0, 1, 2, 7)]
+        assert [s.shape for s in got] == [(n, 180) for n in lengths]
         for states, seq in zip(got, inputs):
             assert np.array_equal(states, reference_stack(res.layers, seq, start))
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,6 +329,32 @@ class TestNoWeightCopies:
         res.layers[2].recurrent = 0.5 * res.layers[2].recurrent
         expected = reference_stack(res.layers, inputs, res.initial_states())
         assert np.array_equal(run_sequence(res, inputs), expected)
+
+
+class TestLayersMatchConfig:
+    """Layers that contradict the config are refused, never run."""
+
+    def test_layer_count(self):
+        config = small_config(
+            input_dim=3, n_layers=3, units_per_layer=3, connectivity=1.0
+        )
+        layer = init_deep_reservoir(replace(config, n_layers=1)).layers[0]
+        with pytest.raises(ValueError, match="config has 3 layers, got 1"):
+            DeepReservoir(config=config, layers=[layer])
+
+    def test_replaced_feed_shape(self):
+        res = init_deep_reservoir(
+            small_config(input_dim=3, n_layers=3, units_per_layer=3, connectivity=1.0)
+        )
+        res.layers[2].feed = np.ones((3, 1))
+        message = r"layer 2: feed must have shape \(3, 3\), got \(3, 1\)"
+        with pytest.raises(ValueError, match=message):
+            run_sequence(res, np.zeros((4, 3)))
+
+    def test_units(self):
+        layers = init_deep_reservoir(small_config(units_per_layer=20)).layers
+        with pytest.raises(ValueError, match=r"layer 0: feed must have shape \(30, 4\)"):
+            DeepReservoir(config=small_config(), layers=layers)
 
 
 class TestKernelChecks:

@@ -149,6 +149,31 @@ class TestGridSearch:
         assert [self.strip(t) for t in a.trials] == [self.strip(t) for t in b.trials]
         assert a.best.to_dict() == b.best.to_dict()
 
+    def test_pool_no_larger_than_the_work(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return list(map(func, items))
+
+        monkeypatch.setattr("deepesn.selection.Pool", SerialPool)
+        grid = GridSpec(
+            spectral_radii=(0.5,), leaky_rates=(0.5,), input_scalings=(1.0,),
+            ridges=(1e-3,), n_guesses=2,
+        )
+        result = tiny_search(workers=8, grid=grid)
+        assert sizes == [2]  # one (cell, guess) item per guess
+        assert [t.status for t in result.trials] == ["ok", "ok"]
+
     def test_best_maximizes_mean_valid_acc(self):
         result = tiny_search()
         means = {}
