@@ -13,8 +13,10 @@ seeds 0-9, both sides run
 one after the other, the parent first on even seeds and the change
 first on odd ones, so drift in the machine's load hits both sides
 alike. OUT.json gets, per workload and end-to-end metric, each side's
-median and quartiles, the parent's IQR, the number of pairs the change
-won (ties count for neither side), and two verdicts: `gain` (won at
+median and quartiles, the parent's IQR, each pair's change/parent ratio
+with the ratios' median and quartiles (drift that hits both runs of a
+pair cancels in its ratio), the number of pairs the change won (ties
+count for neither side), and two verdicts: `gain` (won at
 least 9/10 of the pairs and beat the parent's median by more than its
 IQR) and `worse` (median worse than the parent's by more than the
 metric's bound from BENCHMARK.json, as a fraction of the parent's
@@ -103,15 +105,25 @@ def run_once(root: str, workload: str, seed: int) -> dict:
     return record
 
 
+def quartiles(values: list) -> tuple:
+    """(q1, q3) of `values`, or (None, None) for fewer than two."""
+    if len(values) < 2:
+        return None, None
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def summarize(metric: dict, pairs: list) -> dict:
-    """Both sides' medians and quartiles, the change's wins, and the verdicts.
+    """Both sides' medians and quartiles, paired ratios, wins and verdicts.
 
     `gain` is the claim rule: the change won at least 9 of every 10
     pairs, ties counting for neither side, and its median is better than
     the parent's by more than the parent's IQR. `worse` is the
     regression rule: the change's median is worse than the parent's by
-    more than `bound` times the parent's median. Quartiles need two
-    pairs; with one, they are None and there is no gain.
+    more than `bound` times the parent's median. `ratios` holds each
+    pair's change/parent value, None where the parent's is 0, and their
+    median and quartiles summarize the others. Quartiles need two pairs
+    (ratios); with one, they are None and there is no gain.
     """
     name, lower = metric["name"], metric["better"] == "lower"
     ok = [(p, c) for p, c in pairs if "metrics" in p and "metrics" in c]
@@ -119,11 +131,12 @@ def summarize(metric: dict, pairs: list) -> dict:
         return {"pairs": 0}
     parent = [p["metrics"][name] for p, _ in ok]
     change = [c["metrics"][name] for _, c in ok]
-    p_q1 = p_q3 = c_q1 = c_q3 = p_iqr = None
-    if len(ok) >= 2:
-        p_q1, _, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
-        c_q1, _, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
-        p_iqr = p_q3 - p_q1
+    ratios = [c / p if p else None for p, c in zip(parent, change)]
+    defined = [r for r in ratios if r is not None]
+    p_q1, p_q3 = quartiles(parent)
+    c_q1, c_q3 = quartiles(change)
+    r_q1, r_q3 = quartiles(defined)
+    p_iqr = None if p_q1 is None else p_q3 - p_q1
     p_median, c_median = statistics.median(parent), statistics.median(change)
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     improvement = (p_median - c_median) if lower else (c_median - p_median)
@@ -137,6 +150,10 @@ def summarize(metric: dict, pairs: list) -> dict:
         "change_median": c_median,
         "change_q1": c_q1,
         "change_q3": c_q3,
+        "ratios": ratios,
+        "ratio_median": statistics.median(defined) if defined else None,
+        "ratio_q1": r_q1,
+        "ratio_q3": r_q3,
         "change_wins": wins,
         "pairs": len(ok),
         "gain": p_iqr is not None

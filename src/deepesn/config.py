@@ -145,8 +145,9 @@ def _validate(config: dict) -> None:
         value = config
         for part in key.split("."):
             value = value[part]
-        if not low <= value <= high:
-            raise ConfigError(f"{key} must be in [{low}, {high}], got {value!r}")
+        if not (low <= value <= high and math.isfinite(value)):
+            upper = f"{high}]" if math.isfinite(high) else "inf)"
+            raise ConfigError(f"{key} must be in [{low}, {upper}, got {value!r}")
     # The dataset fixes input_dim when a run starts; any valid one will do.
     build_reservoir_config(config, input_dim=1)
     build_ip_config(config)

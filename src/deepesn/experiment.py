@@ -19,7 +19,7 @@ from .data import SPLIT_NAMES, PianoRollDataset, next_step_pairs
 from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
 from .metrics import pooled_accuracy
-from .readout import RidgeAccumulator, RidgeReadout, binarize
+from .readout import RidgeAccumulator, RidgeReadout, _check_ridge, binarize
 from .reservoir import ReservoirConfig, init_deep_reservoir, run_layers
 
 __all__ = [
@@ -163,8 +163,13 @@ def sweep_ridges(
     States depend on the reservoir but not on the regularizer, so the
     expensive collection happens once. Each result still reports the
     standalone cost of its trial: shared collection time plus its own
-    solve and evaluation time.
+    solve and evaluation time. `ridges` is checked before any work.
     """
+    ridges = tuple(ridges)
+    if not ridges:
+        raise ValueError("ridges must not be empty")
+    for ridge in ridges:
+        _check_ridge(ridge)
     start = time.perf_counter()
     accumulator, train_pairs, valid_pairs, test_pairs = _prepare(
         dataset, config, ip, washout

@@ -17,6 +17,7 @@ computes its output with its current parameters, then adjusts them.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +43,12 @@ class IpConfig:
     epochs: int = 5
 
     def __post_init__(self):
-        if self.target_std <= 0.0:
-            raise ValueError(f"target_std must be > 0, got {self.target_std}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(
-                f"learning_rate must be > 0, got {self.learning_rate}"
-            )
+        if not math.isfinite(self.target_mean):
+            raise ValueError(f"target_mean must be finite, got {self.target_mean}")
+        for name in ("target_std", "learning_rate"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -130,13 +131,6 @@ def ip_update(
     return gain, bias
 
 
-def _parameter_stacks(reservoir: DeepReservoir) -> tuple[np.ndarray, np.ndarray]:
-    """New (n_layers, units) arrays holding every layer's gain and bias."""
-    gain = np.array([layer.gain for layer in reservoir.layers], dtype=float)
-    bias = np.array([layer.bias for layer in reservoir.layers], dtype=float)
-    return gain, bias
-
-
 def pretrain_ip(
     reservoir: DeepReservoir,
     sequences: list[np.ndarray],
@@ -150,27 +144,27 @@ def pretrain_ip(
     layer's step reads only its own parameters and the state of the
     layer below at the same step, so this equals stepping the whole
     stack and then adapting every layer. Every sequence is checked
-    before anything adapts. The layers get new gain and bias arrays at
-    the end, so arrays a caller held before the call keep their values.
-    Each layer whose gains were clamped logs one warning with its count.
-    The reservoir is modified in place and returned.
+    before anything adapts. The layers first get new gain and bias
+    arrays, which the reservoir's stacks then adapt in place, so arrays a
+    caller held before the call keep their values. Each layer whose
+    gains were clamped logs one warning with its count. The reservoir is
+    modified in place and returned.
     """
-    gain, bias = _parameter_stacks(reservoir)
-    rule = _IpRule(config, gain.shape)
-    clamps = np.zeros(len(reservoir.layers), dtype=np.int64)
+    for layer in reservoir.layers:
+        layer.gain = np.array(layer.gain, dtype=float)
+        layer.bias = np.array(layer.bias, dtype=float)
+    rule = _IpRule(config, (reservoir.config.n_layers, reservoir.config.units_per_layer))
+    clamps = np.zeros(reservoir.config.n_layers, dtype=np.int64)
 
-    def adapt(rows, net, y):
-        low = rule.apply(gain[rows], bias[rows], net, y, rows)
+    def adapt(rows, gain, bias, net, y):
+        low = rule.apply(gain, bias, net, y, rows)
         if low is not None:
             clamps[rows] += np.count_nonzero(low, axis=1)
 
     # Convert once, so the repeated epochs share one array per sequence.
     sequences = [np.asarray(inputs, dtype=float) for inputs in sequences]
-    run_online(reservoir, sequences * config.epochs, gain, bias, adapt)
-    for layer, layer_gain, layer_bias, count in zip(
-        reservoir.layers, gain, bias, clamps.tolist()
-    ):
-        layer.gain, layer.bias = layer_gain, layer_bias
+    run_online(reservoir, sequences * config.epochs, adapt)
+    for count in clamps.tolist():
         if count:
             _warn_clamped(count)
     return reservoir
@@ -187,15 +181,14 @@ def activation_statistics(
     (n_layers, units_per_layer).
     """
     sequences = list(sequences)
-    gain, bias = _parameter_stacks(reservoir)
-    sums = np.zeros(gain.shape)
-    sq_sums = np.zeros(gain.shape)
+    sums = np.zeros((reservoir.config.n_layers, reservoir.config.units_per_layer))
+    sq_sums = np.zeros(sums.shape)
 
-    def accumulate(rows, net, y):
+    def accumulate(rows, gain, bias, net, y):
         sums[rows] += y
         sq_sums[rows] += y * y
 
-    run_online(reservoir, sequences, gain, bias, accumulate)
+    run_online(reservoir, sequences, accumulate)
     count = sum(len(inputs) for inputs in sequences)
     if count == 0:
         raise ValueError("no time steps to compute activation statistics from")

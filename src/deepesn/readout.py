@@ -11,6 +11,7 @@ affine maps of the state, binarized at a threshold for on/off targets.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,7 @@ def _solve(build, xty: np.ndarray, ridge: float) -> np.ndarray:
     again and a least-squares solve runs on its result made full and
     symmetric.
     """
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    _check_ridge(ridge)
     try:
         factor = cho_factor(_add_ridge(build(), ridge), overwrite_a=True)
         return cho_solve(factor, xty)
@@ -60,6 +60,12 @@ def _solve(build, xty: np.ndarray, ridge: float) -> np.ndarray:
         )
         a = _symmetric(_add_ridge(build(), ridge))
         return np.linalg.lstsq(a, xty, rcond=None)[0]
+
+
+def _check_ridge(ridge: float) -> None:
+    """Raise ValueError unless `ridge` is finite and >= 0."""
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
 
 
 def _add_ridge(a: np.ndarray, ridge: float) -> np.ndarray:

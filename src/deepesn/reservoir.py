@@ -22,6 +22,7 @@ inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +57,7 @@ class ReservoirConfig:
         spectral_radius_target: Spectral radius of each layer's effective
             matrix (1 - a) I + a W after rescaling, in (0, 1).
         input_scaling: Operator 2-norm of each feed matrix after
-            rescaling, strictly positive.
+            rescaling, finite and strictly positive.
         connectivity: Fraction of nonzero entries in each recurrent
             matrix, in (0, 1]; 1 gives a dense matrix.
         seed: Seed for the weight-drawing generator.
@@ -87,9 +88,9 @@ class ReservoirConfig:
                 "spectral_radius_target must be in (0, 1), got "
                 f"{self.spectral_radius_target}"
             )
-        if self.input_scaling <= 0.0:
+        if not 0.0 < self.input_scaling < math.inf:
             raise ValueError(
-                f"input_scaling must be > 0, got {self.input_scaling}"
+                f"input_scaling must be finite and > 0, got {self.input_scaling}"
             )
         if not 0.0 < self.connectivity <= 1.0:
             raise ValueError(
@@ -162,12 +163,13 @@ class ReservoirLayer:
 class DeepReservoir:
     """A stack of reservoir layers sharing one configuration.
 
-    The layers' weights are stacked once, when the reservoir is made,
-    for the wave kernel (`_WeightStacks`); each layer holds a view of its
-    slot of a dense stack, so no dense weight is held twice. A layer
-    whose weight is later replaced gets the stacks rebuilt at the next
-    run. Layers whose count or weight shapes differ from `config` raise
-    ValueError, when the reservoir is made or the stacks are rebuilt.
+    The layers' weights, gains, biases and leaky rates are stacked once,
+    when the reservoir is made, for the wave kernel (`_WeightStacks`);
+    each layer holds a view of its slot of a dense stack, so no dense
+    array is held twice. A layer whose array or rate is later replaced
+    gets the stacks rebuilt at the next run. Layers whose count or array
+    shapes differ from `config` raise ValueError, when the reservoir is
+    made or the stacks are rebuilt.
     """
 
     config: ReservoirConfig
@@ -177,7 +179,7 @@ class DeepReservoir:
         self._stacks = _WeightStacks(self.config, self.layers)
 
     def _weight_stacks(self) -> "_WeightStacks":
-        """The stacked weights, rebuilt if a layer no longer holds its own."""
+        """The stacks, rebuilt if a layer no longer holds its own arrays."""
         if not self._stacks.held_by(self.layers):
             self._stacks = _WeightStacks(self.config, self.layers)
         return self._stacks
@@ -235,7 +237,8 @@ def _check_layers(config, layers) -> None:
     n = config.units_per_layer
     for index, layer in enumerate(layers):
         fan_in = config.input_dim if index == 0 else n
-        for name, shape in (("feed", (n, fan_in)), ("recurrent", (n, n))):
+        shapes = {"feed": (n, fan_in), "recurrent": (n, n), "gain": (n,), "bias": (n,)}
+        for name, shape in shapes.items():
             got = np.shape(getattr(layer, name))
             if got != shape:
                 raise ValueError(
@@ -244,15 +247,16 @@ def _check_layers(config, layers) -> None:
 
 
 class _WeightStacks:
-    """The layers' weights, checked against the config and stacked.
+    """All the wave kernel reads of the layers, checked against the config.
 
-    `feeds` is the (n_layers - 1, units, units) stack of the deeper
-    layers' feed matrices (empty for one layer), and `dense` the
-    (n_layers, units, units) stack of dense recurrent matrices; each
-    layer holds a view of its slot. Sparse recurrent matrices are joined
-    instead into one block-diagonal CSR matrix, a copy of their sparse
-    arrays (scipy copies a small view of a large array, so a layer keeps
-    its own). The first layer's feed is used as it is.
+    `feeds` stacks the deeper layers' (units, units) feed matrices,
+    `dense` the dense recurrent matrices, and `gain` and `bias` the
+    (n_layers, units) gains and biases; each layer holds a view of its
+    slot, so the two share every write. Sparse recurrent matrices are
+    kept as CSR copies, `sparse`, and joined in one block-diagonal CSR
+    `block` (scipy copies a small view of a large array, so a layer
+    keeps its own). `first_feed` is the first layer's own feed; `leak`
+    and `keep` hold each layer's a and 1 - a, shaped (n_layers, 1, 1).
     """
 
     def __init__(self, config, layers):
@@ -261,36 +265,31 @@ class _WeightStacks:
         if len(kinds) > 1:
             raise ValueError("recurrent matrices must be all sparse or all dense")
         n = config.units_per_layer
+        self.first_feed = layers[0].feed
         self.feeds = _stack_into(layers[1:], "feed") if layers[1:] else np.empty((0, n, n))
-        self.dense = self._block = None
+        self.dense = self.block = None
         if kinds == {True}:
-            self._sparse = [sp.csr_matrix(layer.recurrent) for layer in layers]
-            self._block = _block_diagonal(self._sparse)
+            self.sparse = [sp.csr_matrix(layer.recurrent) for layer in layers]
+            self.block = _block_diagonal(self.sparse)
         else:
             self.dense = _stack_into(layers, "recurrent")
-        self._held = self._weights_of(layers)
+        self.gain = _stack_into(layers, "gain")
+        self.bias = _stack_into(layers, "bias")
+        self.leak = np.array([layer.leaky_rate for layer in layers])[:, None, None]
+        self.keep = 1.0 - self.leak
+        self._held = self._arrays_of(layers)
 
     @staticmethod
-    def _weights_of(layers) -> list:
-        return [layer.recurrent for layer in layers] + [layer.feed for layer in layers]
+    def _arrays_of(layers) -> list:
+        names = ("recurrent", "feed", "gain", "bias", "leaky_rate")
+        return [getattr(layer, name) for name in names for layer in layers]
 
     def held_by(self, layers) -> bool:
-        """Whether `layers` still hold exactly the weights stacked here."""
-        held = self._weights_of(layers)
+        """Whether `layers` still hold exactly the arrays and rates stacked here."""
+        held = self._arrays_of(layers)
         return len(held) == len(self._held) and all(
             mine is theirs for mine, theirs in zip(self._held, held)
         )
-
-    def recurrent(self, lo: int, hi: int):
-        """(CSR matrix, first layer it covers) for a wave of layers lo..hi - 1.
-
-        A lone layer takes its own matrix; more layers take the
-        block-diagonal matrix of the whole stack, whose rows of the
-        other layers are computed and not used.
-        """
-        if hi - lo == 1:
-            return self._sparse[lo], lo
-        return self._block, 0
 
 
 def effective_matrix(recurrent, leaky_rate: float):
@@ -425,7 +424,7 @@ def _schedule(lengths: np.ndarray):
     return (len(lengths) - ended.sum(axis=1)).tolist(), dest
 
 
-def _waves(stacks, layers, inputs, running, states, gain, bias):
+def _waves(stacks, inputs, running, states):
     """The diagonal wave loop over a batch; yields once per wave.
 
     Layer l at step t reads only layer l - 1 at step t and itself at step
@@ -437,8 +436,8 @@ def _waves(stacks, layers, inputs, running, states, gain, bias):
     k is the running count of the deepest active layer, the largest.
     Slab rows past a layer's own count belong to sequences that have
     ended; they are computed and never read. `inputs` is the (T, batch,
-    input_dim) table of the first layer's drives; `gain` and `bias` are
-    (n_layers, 1, units).
+    input_dim) table of the first layer's drives. Each wave reads gains
+    and biases from `stacks` afresh, so in-place changes take effect.
 
     Each wave yields (lo, hi, net, y): the slab's net inputs (F d + W x,
     before gain and bias) and tanh outputs, valid until the next wave.
@@ -448,14 +447,13 @@ def _waves(stacks, layers, inputs, running, states, gain, bias):
       deeper layers' slab;
     - the recurrent products are one product of the stack's
       block-diagonal CSR matrix with the (n_layers * units, k) block of
-      states, each column summed as `W @ x` sums it (a lone active layer
-      takes its own matrix), or one stacked product when dense;
+      states, each column summed as `W @ x` sums it and the rows of
+      inactive layers not used (a lone active layer takes its own
+      matrix), or one stacked product when dense;
     - the elementwise update runs in the order of the layer equation.
     """
     depth, _, units = states.shape
     steps = len(running)
-    leak = np.array([layer.leaky_rate for layer in layers])[:, None, None]
-    keep = 1.0 - leak
     fed = np.zeros(states.shape)
     y = np.empty(states.shape)
     tmp = np.empty(states.shape)
@@ -471,18 +469,20 @@ def _waves(stacks, layers, inputs, running, states, gain, bias):
             below = states[deeper - 1 : hi - 1, :k, :, None]
             fed_deeper = fed[deeper:hi, :k, :, None]
             if stacks.dense is None:
-                matrix, top = stacks.recurrent(lo, hi)
+                lone = hi - lo == 1
+                matrix, top = (stacks.sparse[lo], lo) if lone else (stacks.block, 0)
                 span = matrix.shape[0] // units
                 columns = states[top : top + span, :k].transpose(0, 2, 1)
             else:
                 dense = stacks.dense[lo:hi, None], states[lo:hi, :k, :, None]
             net, out = fed[lo:hi, :k], y[lo:hi, :k]
             slab = (
-                states[lo:hi, :k], net, gain[lo:hi], bias[lo:hi], keep[lo:hi],
-                leak[lo:hi], out, tmp[lo:hi, :k],
+                states[lo:hi, :k], net, stacks.gain[lo:hi, None],
+                stacks.bias[lo:hi, None], stacks.keep[lo:hi], stacks.leak[lo:hi],
+                out, tmp[lo:hi, :k],
             )
         if lo == 0:
-            np.matmul(layers[0].feed, inputs[wave, :k, :, None], out=fed[0, :k, :, None])
+            np.matmul(stacks.first_feed, inputs[wave, :k, :, None], out=fed[0, :k, :, None])
         np.matmul(feeds, below, out=fed_deeper)
         if stacks.dense is None:
             product = matrix @ columns.reshape(-1, k)
@@ -518,8 +518,7 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
         )
     if not sequences:
         return []
-    layers = reservoir.layers
-    depth, units = len(layers), layers[0].units
+    depth, units = reservoir.config.n_layers, reservoir.config.units_per_layer
     lengths = np.array([inputs.shape[0] for inputs in sequences])
     total = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
@@ -533,11 +532,7 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     drives = np.concatenate(sequences + [np.zeros((1, reservoir.config.input_dim))])
     batch = np.empty((depth, len(sequences), units))
     batch[...] = np.asarray(states, dtype=float)[:, None]
-    gain = np.array([layer.gain for layer in layers])[:, None]
-    bias = np.array([layer.bias for layer in layers])[:, None]
-    waves = _waves(
-        reservoir._weight_stacks(), layers, drives[dest], running, batch, gain, bias
-    )
+    waves = _waves(reservoir._weight_stacks(), drives[dest], running, batch)
     # Slab row (l, r) of wave w is step w - l of the r-th longest
     # sequence: layer l of row dest[w - l, r] of `out`. Read backwards in
     # time, the table has the rows of layers lo..hi - 1 as one slice.
@@ -550,31 +545,28 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     return views
 
 
-def run_online(reservoir, sequences, gain, bias, on_step) -> None:
+def run_online(reservoir, sequences, on_step) -> None:
     """Run sequences one after another, each from rest, calling back every wave.
 
-    `gain` and `bias` are (n_layers, units) stacks that stand in for the
-    layers' own. Each sequence is a batch of one on the diagonal waves of
-    `_waves`. After each wave, `on_step(rows, net, y)` gets `rows`, the
-    slice of active layers, and their (k, units) net inputs (F d + W x,
-    before gain and bias) and tanh outputs; it may adapt `gain[rows]`
-    and `bias[rows]` in place, and the next wave reads them. Every
-    sequence is checked before any runs.
+    Each sequence is a batch of one on the diagonal waves of `_waves`.
+    After each wave, `on_step(rows, gain, bias, net, y)` gets `rows`, the
+    slice of active layers, the stacks' gain and bias rows of those
+    layers, and their (k, units) net inputs (F d + W x, before gain and
+    bias) and tanh outputs. It may adapt `gain` and `bias` in place: they
+    are the layers' own, and the next wave reads them. Every sequence is
+    checked before any runs.
     """
     sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
-    layers = reservoir.layers
     stacks = reservoir._weight_stacks()
-    states = np.empty((len(layers), 1, layers[0].units))
+    states = np.empty_like(stacks.gain[:, None])
     for inputs in sequences:
         if not inputs.shape[0]:
             continue
         states[...] = 0.0
-        waves = _waves(
-            stacks, layers, inputs[:, None], [1] * inputs.shape[0], states,
-            gain[:, None], bias[:, None],
-        )
+        waves = _waves(stacks, inputs[:, None], [1] * inputs.shape[0], states)
         for lo, hi, net, y in waves:
-            on_step(slice(lo, hi), net[:, 0], y[:, 0])
+            rows = slice(lo, hi)
+            on_step(rows, stacks.gain[rows], stacks.bias[rows], net[:, 0], y[:, 0])
 
 
 def step_deep(

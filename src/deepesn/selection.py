@@ -17,6 +17,7 @@ networks train everything) and size networks to a parameter budget.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product
@@ -91,11 +92,11 @@ class GridSpec:
             if not 0.0 < a <= 1.0:
                 raise ValueError(f"leaky_rates must be in (0, 1], got {a}")
         for s in self.input_scalings:
-            if s <= 0.0:
-                raise ValueError(f"input_scalings must be > 0, got {s}")
+            if not 0.0 < s < math.inf:
+                raise ValueError(f"input_scalings must be finite and > 0, got {s}")
         for r in self.ridges:
-            if r < 0.0:
-                raise ValueError(f"ridges must be >= 0, got {r}")
+            if not 0.0 <= r < math.inf:
+                raise ValueError(f"ridges must be finite and >= 0, got {r}")
         if self.n_guesses < 1:
             raise ValueError(f"n_guesses must be >= 1, got {self.n_guesses}")
 

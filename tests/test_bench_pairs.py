@@ -68,6 +68,20 @@ class TestSummarize:
         assert got["gain"] is False
         assert got["worse"] is False
 
+    def test_paired_ratios(self, bench_pairs):
+        parent = [2.0, 4.0, 1.0, 0.0, 5.0, 8.0]
+        change = [1.0, 5.0, 1.0, 3.0, 4.0, 6.0]
+        got = bench_pairs.summarize(METRIC, pairs(parent, change))
+        assert got["ratios"] == [0.5, 1.25, 1.0, None, 0.8, 0.75]
+        # the median and quartiles of 0.5, 0.75, 0.8, 1.0 and 1.25
+        assert got["ratio_median"] == 0.8
+        assert got["ratio_q1"] == 0.75
+        assert got["ratio_q3"] == 1.0
+        one = bench_pairs.summarize(METRIC, pairs([2.0], [3.0]))
+        assert one["ratios"] == [1.5]
+        assert one["ratio_median"] == 1.5
+        assert one["ratio_q1"] is None and one["ratio_q3"] is None
+
     def test_no_pairs(self, bench_pairs):
         assert bench_pairs.summarize(METRIC, [({"error": "x"}, {"error": "y"})]) == {
             "pairs": 0

@@ -50,6 +50,10 @@ SMALL = {
 }
 
 
+# JSON has no NaN or infinity, but Python's json reads and writes them
+# as NaN and Infinity.
+NAN, INF = float("nan"), float("inf")
+
 # One case per rule a configuration file can break: (id, file content,
 # pattern the error message must match once the file's path is removed).
 REJECTED_CONFIGS = [
@@ -118,6 +122,25 @@ REJECTED_CONFIGS = [
     ("empty-input-scalings", {"grid": {"input_scalings": []}},
      r"grid\.input_scalings"),
     ("empty-ridges", {"grid": {"ridges": []}}, r"grid\.ridges"),
+    ("input-scaling-nan", {"reservoir": {"input_scaling": NAN}},
+     r"reservoir\.input_scaling must be finite"),
+    ("input-scaling-infinite", {"reservoir": {"input_scaling": INF}},
+     r"reservoir\.input_scaling must be finite"),
+    ("target-mean-nan", {"ip": {"target_mean": NAN}}, r"ip\.target_mean"),
+    ("target-mean-infinite", {"ip": {"target_mean": -INF}}, r"ip\.target_mean"),
+    ("target-std-nan", {"ip": {"target_std": NAN}}, r"ip\.target_std"),
+    ("target-std-infinite", {"ip": {"target_std": INF}}, r"ip\.target_std"),
+    ("learning-rate-nan", {"ip": {"learning_rate": NAN}}, r"ip\.learning_rate"),
+    ("learning-rate-infinite", {"ip": {"learning_rate": INF}},
+     r"ip\.learning_rate"),
+    ("ridge-nan", {"readout": {"ridge": NAN}}, r"readout\.ridge"),
+    ("ridge-infinite", {"readout": {"ridge": INF}}, r"readout\.ridge .*inf\)"),
+    ("grid-input-scaling-nan", {"grid": {"input_scalings": [NAN]}},
+     r"grid\.input_scalings"),
+    ("grid-input-scaling-infinite", {"grid": {"input_scalings": [INF]}},
+     r"grid\.input_scalings"),
+    ("grid-ridge-nan", {"grid": {"ridges": [NAN]}}, r"grid\.ridges"),
+    ("grid-ridge-infinite", {"grid": {"ridges": [INF]}}, r"grid\.ridges"),
 ]
 
 

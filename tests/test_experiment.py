@@ -208,6 +208,25 @@ class TestSweepRidges:
         with pytest.raises(ConfigError, match="washout"):
             sweep_ridges(ds, cfg, (1e-3,), washout=longest - 1)
 
+    @pytest.mark.parametrize(
+        "ridges, message",
+        [
+            ((), "ridges must not be empty"),
+            ((1e-3, -1.0), "ridge must be finite and >= 0, got -1.0"),
+            ((float("nan"),), "ridge must be finite and >= 0, got nan"),
+            ((1e-3, float("inf")), "ridge must be finite and >= 0, got inf"),
+        ],
+        ids=["empty", "negative", "nan", "infinite"],
+    )
+    def test_ridges_checked_before_any_work(self, monkeypatch, ridges, message):
+        def refuse(config):
+            raise AssertionError("reservoir built before the ridges were checked")
+
+        monkeypatch.setattr("deepesn.experiment.init_deep_reservoir", refuse)
+        ds = make_synthetic_dataset(seed=4)
+        with pytest.raises(ValueError, match=message):
+            sweep_ridges(ds, small_config(ds.dim), ridges)
+
     def test_washout_must_leave_a_step_in_every_split(self):
         # the longest valid sequence has 54 frames, train and test have 57:
         # a split without steps would score accuracy 1.0

@@ -2,9 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from test_reservoir import reference_stack
 
 from deepesn.ip import IpConfig, activation_statistics, ip_update, pretrain_ip
-from deepesn.reservoir import ReservoirConfig, init_deep_reservoir
+from deepesn.reservoir import ReservoirConfig, init_deep_reservoir, run_sequence
 
 # one update with defaults at g=1, b=0, net=0.5, y=tanh(0.5)
 ORACLE_Y = 0.46211715726000974
@@ -81,6 +82,12 @@ class TestIpConfig:
             {"target_std": -0.1},
             {"learning_rate": 0.0},
             {"epochs": 0},
+            {"target_mean": float("nan")},
+            {"target_mean": float("inf")},
+            {"target_std": float("nan")},
+            {"target_std": float("inf")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -149,6 +156,19 @@ class TestPretrain:
         for layer, (gain, bias) in zip(res.layers, before):
             assert np.array_equal(layer.gain, gain)
             assert np.array_equal(layer.bias, bias)
+
+    def test_runs_read_the_adapted_parameters(self):
+        res = small_reservoir(n_layers=3)
+        seqs = self.corpus(steps=50)
+        pretrain_ip(res, seqs, IpConfig(learning_rate=0.05, epochs=1))
+        adapted = [(layer.gain.copy(), layer.bias.copy()) for layer in res.layers]
+        assert not any(np.array_equal(gain, np.ones(30)) for gain, _ in adapted)
+        expected = reference_stack(res.layers, seqs[0], res.initial_states())
+        assert np.array_equal(run_sequence(res, seqs[0]), expected)
+        activation_statistics(res, seqs)
+        for layer, (gain, bias) in zip(res.layers, adapted):
+            assert layer.gain.tobytes() == gain.tobytes()
+            assert layer.bias.tobytes() == bias.tobytes()
 
     def test_returns_same_reservoir(self):
         res = small_reservoir()

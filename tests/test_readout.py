@@ -224,6 +224,11 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.ones((2, 1)), -1.0)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+    def test_rejects_non_finite_ridge(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite"):
+            ridge_solve(np.eye(2), np.ones((2, 1)), ridge)
+
 
 class TestAccumulatorValidation:
     def test_rejects_bad_shapes(self):

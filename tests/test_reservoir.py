@@ -53,6 +53,8 @@ class TestConfigValidation:
             ("input_scaling", 0.0),
             ("connectivity", 0.0),
             ("connectivity", 1.5),
+            ("input_scaling", float("nan")),
+            ("input_scaling", float("inf")),
         ],
     )
     def test_rejects_out_of_range(self, field, value):
@@ -327,6 +329,8 @@ class TestNoWeightCopies:
         run_sequence(res, inputs)
         res.layers[1].feed = 2.0 * res.layers[1].feed
         res.layers[2].recurrent = 0.5 * res.layers[2].recurrent
+        res.layers[0].gain = 1.5 * res.layers[0].gain
+        res.layers[0].bias = res.layers[0].bias + 0.1
         expected = reference_stack(res.layers, inputs, res.initial_states())
         assert np.array_equal(run_sequence(res, inputs), expected)
 
@@ -350,6 +354,25 @@ class TestLayersMatchConfig:
         message = r"layer 2: feed must have shape \(3, 3\), got \(3, 1\)"
         with pytest.raises(ValueError, match=message):
             run_sequence(res, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize(
+        "n_layers, replaced, name, size",
+        [(2, [0, 1], "gain", 1), (3, [1], "gain", 2), (3, [2], "bias", 4)],
+        ids=["broadcastable-gain", "short-gain", "long-bias"],
+    )
+    def test_parameter_shape(self, n_layers, replaced, name, size):
+        # a (1,) gain would broadcast over every unit if it were let through
+        config = small_config(
+            input_dim=3, n_layers=n_layers, units_per_layer=3, connectivity=1.0
+        )
+        res = init_deep_reservoir(config)
+        for index in replaced:
+            setattr(res.layers[index], name, np.full(size, 2.0))
+        message = rf"layer {replaced[0]}: {name} must have shape \(3,\), got \({size},\)"
+        with pytest.raises(ValueError, match=message):
+            run_sequence(res, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=message):
+            DeepReservoir(config=config, layers=res.layers)
 
     def test_units(self):
         layers = init_deep_reservoir(small_config(units_per_layer=20)).layers

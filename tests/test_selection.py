@@ -75,6 +75,10 @@ class TestGridSpec:
             {"input_scalings": (0.0,)},
             {"ridges": (-1.0,)},
             {"n_guesses": 0},
+            {"input_scalings": (float("nan"),)},
+            {"input_scalings": (float("inf"),)},
+            {"ridges": (float("nan"),)},
+            {"ridges": (float("inf"),)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
