@@ -18,8 +18,8 @@ import numpy as np
 from .data import SPLIT_NAMES, PianoRollDataset, next_step_pairs
 from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
-from .metrics import pooled_accuracy
-from .readout import RidgeAccumulator, RidgeReadout, _check_ridge, binarize
+from .metrics import FrameCounts, frame_counts
+from .readout import RidgeAccumulator, RidgeReadout, _check_ridge
 from .reservoir import ReservoirConfig, init_deep_reservoir, run_layers
 
 __all__ = [
@@ -73,6 +73,13 @@ def collect_splits(reservoir, splits, washout: int = 0) -> list[list]:
     this equals collecting split by split; one batch shares each wave's
     pass over the weights among more sequences.
     """
+    states, targets = _collect(reservoir, splits, washout)
+    states = iter(states)
+    return [[(next(states)[washout:], t[washout:]) for t in split] for split in targets]
+
+
+def _collect(reservoir, splits, washout):
+    """`run_layers`' states and each split's targets, washout steps kept."""
     drives, targets = [], []
     for dense_sequences in splits:
         targets.append([])
@@ -80,36 +87,45 @@ def collect_splits(reservoir, splits, washout: int = 0) -> list[list]:
             inputs, aligned = next_step_pairs(dense)
             if inputs.shape[0] > washout:
                 drives.append(inputs)
-                targets[-1].append(aligned[washout:])
-    states = iter(run_layers(reservoir, drives))
-    return [[(next(states)[washout:], t) for t in split] for split in targets]
+                targets[-1].append(aligned)
+    return run_layers(reservoir, drives), targets
+
+
+def _best(pairs, thresholds) -> tuple[float, float]:
+    """The best threshold on (continuous, target) pairs, and its pooled accuracy.
+
+    A value at or above a threshold is on, as `binarize` has it, and a
+    NaN is never on. Ties go to the first threshold.
+    """
+    totals = [FrameCounts()] * len(thresholds)
+    for continuous, target in pairs:
+        for i, threshold in enumerate(thresholds):
+            totals[i] += frame_counts(continuous >= threshold, target)
+    best = max(range(len(totals)), key=lambda i: totals[i].accuracy)
+    return thresholds[best], totals[best].accuracy
 
 
 def evaluate_readout(readout: RidgeReadout, pairs) -> float:
     """Pooled frame-level accuracy of a readout over (states, targets)."""
-    return pooled_accuracy((readout.predict(s), t) for s, t in pairs)
+    continuous = ((readout.predict_continuous(s), t) for s, t in pairs)
+    return _best(continuous, (readout.threshold,))[1]
 
 
-def choose_threshold(
-    weights: np.ndarray, pairs, grid=THRESHOLD_GRID
-) -> float:
+def choose_threshold(weights: np.ndarray, pairs, grid=THRESHOLD_GRID) -> float:
     """Pick the threshold with the best pooled accuracy on `pairs`.
 
-    Continuous predictions are computed once and re-binarized per
+    Continuous predictions are computed once and binarized per
     candidate. Ties go to the smallest threshold.
     """
     readout = RidgeReadout(weights)
-    continuous = [(readout.predict_continuous(s), t) for s, t in pairs]
-    best_threshold, best_acc = None, -1.0
-    for threshold in grid:
-        acc = pooled_accuracy((binarize(c, threshold), t) for c, t in continuous)
-        if acc > best_acc:
-            best_threshold, best_acc = threshold, acc
-    return best_threshold
+    continuous = ((readout.predict_continuous(s), t) for s, t in pairs)
+    return _best(continuous, tuple(grid))[0]
 
 
 def _prepare(dataset, config, ip, washout):
-    """Build, optionally pre-train, and collect states for all splits."""
+    """Build, pre-train if asked, and collect: the train accumulator, the
+    packed states of all splits, their boolean targets with washout rows
+    off, the washout rows, and each split's (start, stop) rows."""
     dense = {split: dataset.dense(split) for split in SPLIT_NAMES}
     for split, sequences in dense.items():
         if all(seq.shape[0] < 2 for seq in sequences):
@@ -125,13 +141,17 @@ def _prepare(dataset, config, ip, washout):
     if ip is not None:
         drives = [seq[:-1] for seq in dense["train"] if seq.shape[0] > 1]
         pretrain_ip(reservoir, drives, ip)
-    train_pairs, valid_pairs, test_pairs = collect_splits(
-        reservoir, dense.values(), washout
-    )
+    states, targets = _collect(reservoir, dense.values(), washout)
     accumulator = RidgeAccumulator(reservoir.state_dim, dataset.dim)
-    for states, targets in train_pairs:
-        accumulator.add(states, targets)
-    return accumulator, train_pairs, valid_pairs, test_pairs
+    for train_states, train_targets in zip(states, targets[0]):
+        accumulator.add(train_states[washout:], train_targets[washout:])
+    lengths = [len(s) for s in states]
+    washed = (np.cumsum(lengths) - lengths)[:, None] + np.arange(washout)
+    on = np.concatenate(sum(targets, [])).astype(bool)
+    on[washed] = False
+    stops = np.cumsum([sum(map(len, split)) for split in targets]).tolist()
+    packed = states[0].base[: stops[-1]]  # the views' consecutive rows
+    return accumulator, packed, on, washed, list(zip([0] + stops, stops))
 
 
 def run_model(
@@ -161,9 +181,12 @@ def sweep_ridges(
     """Fit several ridge strengths on one set of collected states.
 
     States depend on the reservoir but not on the regularizer, so the
-    expensive collection happens once. Each result still reports the
-    standalone cost of its trial: shared collection time plus its own
-    solve and evaluation time. `ridges` is checked before any work.
+    expensive collection happens once. Every ridge is solved, and the
+    accumulator dropped, before any is scored: by one product of the
+    packed states into one reused buffer, whose washout rows are set to
+    NaN, which no threshold counts. Each result reports the standalone
+    cost of its trial: shared time plus its own solve and scoring time.
+    `ridges` is checked before any work.
     """
     ridges = tuple(ridges)
     if not ridges:
@@ -171,25 +194,23 @@ def sweep_ridges(
     for ridge in ridges:
         _check_ridge(ridge)
     start = time.perf_counter()
-    accumulator, train_pairs, valid_pairs, test_pairs = _prepare(
-        dataset, config, ip, washout
-    )
+    accumulator, packed, on, washed, ranges = _prepare(dataset, config, ip, washout)
     shared = time.perf_counter() - start
-    results = []
+    solved = []
     for ridge in ridges:
         start = time.perf_counter()
-        readout = accumulator.solve(ridge)
-        if tune_threshold:
-            readout.threshold = choose_threshold(readout.weights, valid_pairs)
-        else:
-            readout.threshold = threshold
-        results.append(
-            TrialResult(
-                train_acc=evaluate_readout(readout, train_pairs),
-                valid_acc=evaluate_readout(readout, valid_pairs),
-                test_acc=evaluate_readout(readout, test_pairs),
-                threshold=readout.threshold,
-                seconds=shared + time.perf_counter() - start,
-            )
-        )
+        solved.append((accumulator.solve(ridge).weights, time.perf_counter() - start))
+    del accumulator  # its Gram and working array are not needed to score
+    outputs = np.empty(on.shape)
+    results = []
+    for weights, solve_seconds in solved:
+        start = time.perf_counter()
+        np.matmul(packed, weights[:-1], out=outputs)
+        outputs += weights[-1]
+        outputs[washed] = np.nan
+        splits = [[(outputs[a:b], on[a:b])] for a, b in ranges]
+        chosen = _best(splits[1], THRESHOLD_GRID)[0] if tune_threshold else threshold
+        train, valid, test = (_best(pairs, (chosen,))[1] for pairs in splits)
+        seconds = shared + solve_seconds + time.perf_counter() - start
+        results.append(TrialResult(train, valid, test, chosen, seconds))
     return results

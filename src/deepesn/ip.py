@@ -144,15 +144,12 @@ def pretrain_ip(
     layer's step reads only its own parameters and the state of the
     layer below at the same step, so this equals stepping the whole
     stack and then adapting every layer. Every sequence is checked
-    before anything adapts. The layers first get new gain and bias
-    arrays, which the reservoir's stacks then adapt in place, so arrays a
-    caller held before the call keep their values. Each layer whose
-    gains were clamped logs one warning with its count. The reservoir is
-    modified in place and returned.
+    before anything adapts. Fresh copies of the gain and bias stacks
+    adapt in place, so arrays a caller held keep their values. Each
+    layer whose gains were clamped logs one warning with its count. The
+    reservoir is modified in place and returned.
     """
-    for layer in reservoir.layers:
-        layer.gain = np.array(layer.gain, dtype=float)
-        layer.bias = np.array(layer.bias, dtype=float)
+    reservoir._weight_stacks().restack_parameters(reservoir.layers)
     rule = _IpRule(config, (reservoir.config.n_layers, reservoir.config.units_per_layer))
     clamps = np.zeros(reservoir.config.n_layers, dtype=np.int64)
 

@@ -53,15 +53,14 @@ def frame_counts(predicted: np.ndarray, target: np.ndarray) -> FrameCounts:
     Nonzero entries count as active. Works on a single frame or a whole
     (T, dim) sequence alike.
     """
-    predicted = np.asarray(predicted).astype(bool)
-    target = np.asarray(target).astype(bool)
+    predicted = np.asarray(predicted, dtype=bool)
+    target = np.asarray(target, dtype=bool)
     if predicted.shape != target.shape:
         raise ValueError(
             f"shape mismatch: predicted {predicted.shape} vs target {target.shape}"
         )
-    tp = int(np.sum(predicted & target))
-    fp = int(np.sum(predicted & ~target))
-    fn = int(np.sum(~predicted & target))
+    tp = np.count_nonzero(predicted & target)
+    fp, fn = np.count_nonzero(predicted) - tp, np.count_nonzero(target) - tp
     return FrameCounts(tp, fp, fn)
 
 

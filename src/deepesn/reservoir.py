@@ -279,6 +279,13 @@ class _WeightStacks:
         self.keep = 1.0 - self.leak
         self._held = self._arrays_of(layers)
 
+    def restack_parameters(self, layers) -> None:
+        """Copy the gain and bias stacks, and no other, for the layers to view."""
+        self.gain, self.bias = self.gain.copy(), self.bias.copy()
+        for layer, gain, bias in zip(layers, self.gain, self.bias):
+            layer.gain, layer.bias = gain, bias
+        self._held = self._arrays_of(layers)
+
     @staticmethod
     def _arrays_of(layers) -> list:
         names = ("recurrent", "feed", "gain", "bias", "leaky_rate")

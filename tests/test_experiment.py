@@ -1,18 +1,27 @@
 import numpy as np
 import pytest
-from test_reservoir import reference_stack
+from test_reservoir import reference_stack, traced_peak
 
-from deepesn.data import make_synthetic_dataset, next_step_pairs, to_dense
+from deepesn.data import (
+    SPLIT_NAMES,
+    PianoRollDataset,
+    make_synthetic_dataset,
+    next_step_pairs,
+    to_dense,
+)
 from deepesn.errors import ConfigError
 from deepesn.experiment import (
     THRESHOLD_GRID,
     choose_threshold,
     collect_pairs,
     collect_splits,
+    evaluate_readout,
     run_model,
     sweep_ridges,
 )
-from deepesn.ip import IpConfig
+from deepesn.ip import IpConfig, pretrain_ip
+from deepesn.metrics import pooled_accuracy
+from deepesn.readout import RidgeAccumulator, binarize
 from deepesn.reservoir import (
     ReservoirConfig,
     init_deep_reservoir,
@@ -234,3 +243,103 @@ class TestSweepRidges:
         cfg = small_config(ds.dim, n_layers=1, units_per_layer=20)
         with pytest.raises(ConfigError, match="washout 55 leaves no valid step"):
             sweep_ridges(ds, cfg, (1e-3,), washout=55, tune_threshold=True)
+
+
+def reference_sweep(ds, cfg, ridges, ip, washout, threshold, tune_threshold):
+    """`sweep_ridges` from public pieces, split by split and sequence by sequence."""
+    res = init_deep_reservoir(cfg)
+    if ip is not None:
+        drives = [seq[:-1] for seq in ds.dense("train") if seq.shape[0] > 1]
+        pretrain_ip(res, drives, ip)
+    train, valid, test = (
+        collect_pairs(res, ds.dense(split), washout) for split in SPLIT_NAMES
+    )
+    accumulator = RidgeAccumulator(res.state_dim, ds.dim)
+    for states, targets in train:
+        accumulator.add(states, targets)
+    results = []
+    for ridge in ridges:
+        readout = accumulator.solve(ridge, threshold)
+        if tune_threshold:
+            readout.threshold = choose_threshold(readout.weights, valid)
+            assert readout.threshold == reference_threshold(readout, valid)
+        scores = []
+        for pairs in (train, valid, test):
+            scores.append(evaluate_readout(readout, pairs))
+            assert scores[-1] == pooled_accuracy(
+                (readout.predict(s), t) for s, t in pairs
+            )
+        results.append((*scores, readout.threshold))
+    return results
+
+
+def reference_threshold(readout, pairs):
+    """The first best threshold of the grid, scored by `metrics` alone."""
+    scores = [
+        pooled_accuracy(
+            (binarize(readout.predict_continuous(s), th), t) for s, t in pairs
+        )
+        for th in THRESHOLD_GRID
+    ]
+    return THRESHOLD_GRID[scores.index(max(scores))]
+
+
+def with_short_sequences(ds):
+    """`ds` with a 3-frame sequence (2 steps) first in every split."""
+    short = [[0], [1, 2], [3]]
+    splits = {name: [short] + list(ds.splits[name]) for name in SPLIT_NAMES}
+    return PianoRollDataset(name=ds.name, dim=ds.dim, splits=splits)
+
+
+class TestSweepOracle:
+    """One product over the packed states scores as sequence by sequence."""
+
+    ridges = (1e-4, 1e-2, 1.0)
+
+    @pytest.mark.parametrize("tune_threshold", [True, False])
+    @pytest.mark.parametrize("washout", [0, 2])
+    @pytest.mark.parametrize(
+        "connectivity, ip", [(0.2, None), (1.0, IpConfig(epochs=1))]
+    )
+    def test_matches_reference(self, connectivity, ip, washout, tune_threshold):
+        # washout 2 skips the 2-step sequences, washout 0 keeps them
+        ds = with_short_sequences(make_synthetic_dataset(seed=6))
+        cfg = small_config(ds.dim, connectivity=connectivity)
+        args = (ip, washout, 0.3, tune_threshold)
+        swept = sweep_ridges(ds, cfg, self.ridges, *args)
+        expected = reference_sweep(ds, cfg, self.ridges, *args)
+        got = [(r.train_acc, r.valid_acc, r.test_acc, r.threshold) for r in swept]
+        assert got == expected
+
+    @pytest.mark.parametrize("tune_threshold", [True, False])
+    def test_silent_targets_and_predictions_score_one(self, tune_threshold):
+        silent = [[[]] * 20] * 3
+        ds = PianoRollDataset(
+            name="silent", dim=5, splits=dict.fromkeys(SPLIT_NAMES, silent)
+        )
+        cfg = small_config(ds.dim)
+        swept = sweep_ridges(ds, cfg, self.ridges, washout=2, tune_threshold=tune_threshold)
+        got = [(r.train_acc, r.valid_acc, r.test_acc, r.threshold) for r in swept]
+        expected = reference_sweep(ds, cfg, self.ridges, None, 2, 0.5, tune_threshold)
+        assert got == expected
+        assert all(r.train_acc == r.valid_acc == r.test_acc == 1.0 for r in swept)
+
+    def test_more_ridges_copy_no_states(self):
+        # Eight ridges hold seven more (61, 24) weight arrays than one;
+        # a copy of any split's states would be larger than that.
+        ds = make_synthetic_dataset(
+            n_sequences=(8, 8, 8), length_range=(60, 100), seed=7
+        )
+        cfg = small_config(ds.dim)
+        steps = min(
+            sum(len(seq) - 1 for seq in ds.dense(split)) for split in SPLIT_NAMES
+        )
+        split_bytes = steps * cfg.state_dim * 8
+
+        def peak(ridges):
+            return traced_peak(
+                lambda: sweep_ridges(ds, cfg, ridges, tune_threshold=True)
+            )
+
+        eight = tuple(np.logspace(-5, 0, 8))
+        assert peak(eight) - peak((1e-3,)) < split_bytes

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from deepesn.errors import InitializationError
-from deepesn.ip import activation_statistics, pretrain_ip
+from deepesn.ip import IpConfig, activation_statistics, pretrain_ip
 from deepesn.linalg import operator_norm
 from deepesn.reservoir import (
     DeepReservoir,
@@ -322,6 +322,17 @@ class TestNoWeightCopies:
         states = res.initial_states()
         assert traced_peak(lambda: step_deep(res, states, inputs[0])) < limit
         assert traced_peak(lambda: run_sequence(res, inputs)) < limit
+
+    @pytest.mark.parametrize("connectivity", [1.0, 0.2])
+    def test_ip_epoch_peak_below_a_tenth_of_the_feed_stack(self, connectivity):
+        # IP copies only the gain and bias stacks, never the weights
+        res = init_deep_reservoir(
+            small_config(n_layers=3, units_per_layer=300, connectivity=connectivity)
+        )
+        limit = 0.1 * res._weight_stacks().feeds.nbytes
+        inputs = np.random.default_rng(17).uniform(-1, 1, size=(5, 4))
+        ip = IpConfig(epochs=1)
+        assert traced_peak(lambda: pretrain_ip(res, [inputs], ip)) < limit
 
     def test_replaced_weights_are_used(self):
         res = init_deep_reservoir(small_config(n_layers=3))
