@@ -23,14 +23,17 @@ metric's bound from BENCHMARK.json, as a fraction of the parent's
 median). Quartiles, the IQR and `gain` need at least two pairs with
 metrics on both sides; with fewer, the quartiles are null and `gain` is
 false. It also gets every run's metrics, each side's failed/attempted
-operation counts, and `benchmark_identical`: whether BENCHMARK.json and
+operation counts, `benchmark_identical`: whether BENCHMARK.json and
 perfbench/ in the working tree equal the parent's, with no untracked
-file under them, without which no claim holds.
+file under them, without which no claim holds, and `src_lines`: the
+line count of src/deepesn/*.py on each side, the code size beside the
+speed.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -81,6 +84,15 @@ def unpack(root: str, revision: str, dest: str) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
+
+
+def src_lines(root: str) -> int:
+    """Lines of src/deepesn/*.py under `root`, counted as `wc -l` counts them."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "deepesn", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(root: str, workload: str, seed: int) -> dict:
@@ -187,6 +199,7 @@ def main(argv=None) -> int:
     try:
         unpack(root, parent_rev, tmp)
         sides = {"parent": tmp, "change": root}
+        lines = {side: src_lines(path) for side, path in sides.items()}
         workloads = {}
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
@@ -211,6 +224,7 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "change": git(root, "rev-parse", "HEAD") + ("+working-tree" if dirty else ""),
         "benchmark_identical": identical,
+        "src_lines": lines,
         "command": f"perfbench/run.py --workload W --seed i --seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
         "order": "parent first on even seeds, change first on odd seeds",

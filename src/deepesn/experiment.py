@@ -73,6 +73,8 @@ def collect_splits(reservoir, splits, washout: int = 0) -> list[list]:
     this equals collecting split by split; one batch shares each wave's
     pass over the weights among more sequences.
     """
+    if washout < 0:
+        raise ValueError(f"washout must be >= 0, got {washout}")
     states, targets = _collect(reservoir, splits, washout)
     states = iter(states)
     return [[(next(states)[washout:], t[washout:]) for t in split] for split in targets]
@@ -106,7 +108,8 @@ def _best(pairs, thresholds) -> tuple[float, float]:
 
 
 def evaluate_readout(readout: RidgeReadout, pairs) -> float:
-    """Pooled frame-level accuracy of a readout over (states, targets)."""
+    """Pooled frame-level accuracy of a readout over (states, targets),
+    predicted sequence by sequence, as `choose_threshold` predicts."""
     continuous = ((readout.predict_continuous(s), t) for s, t in pairs)
     return _best(continuous, (readout.threshold,))[1]
 
@@ -114,8 +117,11 @@ def evaluate_readout(readout: RidgeReadout, pairs) -> float:
 def choose_threshold(weights: np.ndarray, pairs, grid=THRESHOLD_GRID) -> float:
     """Pick the threshold with the best pooled accuracy on `pairs`.
 
-    Continuous predictions are computed once and binarized per
-    candidate. Ties go to the smallest threshold.
+    Continuous predictions are computed once, one product per sequence,
+    and binarized per candidate. Ties go to the smallest threshold.
+    `sweep_ridges` multiplies all sequences at once, which gives the same
+    bits only past about 100 rows per sequence; on shorter ones a score
+    can differ where an output lies within rounding of a threshold.
     """
     readout = RidgeReadout(weights)
     continuous = ((readout.predict_continuous(s), t) for s, t in pairs)
@@ -186,13 +192,15 @@ def sweep_ridges(
     packed states into one reused buffer, whose washout rows are set to
     NaN, which no threshold counts. Each result reports the standalone
     cost of its trial: shared time plus its own solve and scoring time.
-    `ridges` is checked before any work.
+    `ridges` and `washout` are checked before any work.
     """
     ridges = tuple(ridges)
     if not ridges:
         raise ValueError("ridges must not be empty")
     for ridge in ridges:
         _check_ridge(ridge)
+    if washout < 0:
+        raise ValueError(f"washout must be >= 0, got {washout}")
     start = time.perf_counter()
     accumulator, packed, on, washed, ranges = _prepare(dataset, config, ip, washout)
     shared = time.perf_counter() - start

@@ -211,25 +211,6 @@ def _stack_into(layers, name) -> np.ndarray:
     return stack
 
 
-def _block_diagonal(matrices) -> sp.csr_matrix:
-    """The CSR matrices as one block-diagonal CSR matrix.
-
-    Built from each matrix's own arrays, so every row keeps its entries
-    in their order and a product sums each row as the matrix alone would.
-    """
-    if len(matrices) == 1:
-        return matrices[0]
-    n = matrices[0].shape[0]
-    offsets = np.cumsum([0] + [m.nnz for m in matrices])
-    indptr = np.concatenate(
-        [[0]] + [m.indptr[1:] + off for m, off in zip(matrices, offsets)]
-    )
-    indices = np.concatenate([m.indices + i * n for i, m in enumerate(matrices)])
-    data = np.concatenate([m.data for m in matrices])
-    size = n * len(matrices)
-    return sp.csr_matrix((data, indices, indptr), shape=(size, size))
-
-
 def _check_layers(config, layers) -> None:
     """Raise ValueError unless `layers` has the count and shapes of `config`."""
     if len(layers) != config.n_layers:
@@ -252,11 +233,11 @@ class _WeightStacks:
     `feeds` stacks the deeper layers' (units, units) feed matrices,
     `dense` the dense recurrent matrices, and `gain` and `bias` the
     (n_layers, units) gains and biases; each layer holds a view of its
-    slot, so the two share every write. Sparse recurrent matrices are
-    kept as CSR copies, `sparse`, and joined in one block-diagonal CSR
-    `block` (scipy copies a small view of a large array, so a layer
-    keeps its own). `first_feed` is the first layer's own feed; `leak`
-    and `keep` hold each layer's a and 1 - a, shaped (n_layers, 1, 1).
+    slot, so the two share every write. Each sparse layer gets a canonical
+    CSR copy of its matrix (sorted, duplicates summed, as scipy sorts the
+    block's rows), joined in the block-diagonal CSR `block`, so `W @ x`
+    and the block sum a row alike. `first_feed` is the first layer's feed;
+    `leak` and `keep` hold each layer's a and 1 - a, shaped (n_layers, 1, 1).
     """
 
     def __init__(self, config, layers):
@@ -269,8 +250,11 @@ class _WeightStacks:
         self.feeds = _stack_into(layers[1:], "feed") if layers[1:] else np.empty((0, n, n))
         self.dense = self.block = None
         if kinds == {True}:
-            self.sparse = [sp.csr_matrix(layer.recurrent) for layer in layers]
-            self.block = _block_diagonal(self.sparse)
+            for layer in layers:
+                layer.recurrent = sp.csr_matrix(layer.recurrent, copy=True)
+                layer.recurrent.sum_duplicates()
+            matrices = [layer.recurrent for layer in layers]
+            self.block = matrices[0] if len(layers) == 1 else sp.block_diag(matrices, "csr")
         else:
             self.dense = _stack_into(layers, "recurrent")
         self.gain = _stack_into(layers, "gain")
@@ -414,6 +398,20 @@ def _checked_inputs(reservoir, inputs) -> np.ndarray:
     return inputs
 
 
+def _checked(reservoir, sequences, states):
+    """The checked sequences and one start state per layer, rest if None."""
+    sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
+    if states is None:
+        states = reservoir.initial_states()
+    shapes = [np.shape(state) for state in states]
+    if shapes != [(layer.units,) for layer in reservoir.layers]:
+        raise ValueError(
+            f"states must be {reservoir.config.n_layers} arrays of shape "
+            f"({reservoir.config.units_per_layer},), got shapes {shapes}"
+        )
+    return sequences, states
+
+
 def _schedule(lengths: np.ndarray):
     """Where every step of a batch goes: (running, dest).
 
@@ -455,8 +453,7 @@ def _waves(stacks, inputs, running, states):
     - the recurrent products are one product of the stack's
       block-diagonal CSR matrix with the (n_layers * units, k) block of
       states, each column summed as `W @ x` sums it and the rows of
-      inactive layers not used (a lone active layer takes its own
-      matrix), or one stacked product when dense;
+      inactive layers not used, or one stacked product when dense;
     - the elementwise update runs in the order of the layer equation.
     """
     depth, _, units = states.shape
@@ -476,10 +473,7 @@ def _waves(stacks, inputs, running, states):
             below = states[deeper - 1 : hi - 1, :k, :, None]
             fed_deeper = fed[deeper:hi, :k, :, None]
             if stacks.dense is None:
-                lone = hi - lo == 1
-                matrix, top = (stacks.sparse[lo], lo) if lone else (stacks.block, 0)
-                span = matrix.shape[0] // units
-                columns = states[top : top + span, :k].transpose(0, 2, 1)
+                columns = states[:, :k].transpose(0, 2, 1)
             else:
                 dense = stacks.dense[lo:hi, None], states[lo:hi, :k, :, None]
             net, out = fed[lo:hi, :k], y[lo:hi, :k]
@@ -492,8 +486,8 @@ def _waves(stacks, inputs, running, states):
             np.matmul(stacks.first_feed, inputs[wave, :k, :, None], out=fed[0, :k, :, None])
         np.matmul(feeds, below, out=fed_deeper)
         if stacks.dense is None:
-            product = matrix @ columns.reshape(-1, k)
-            product = product.reshape(span, units, k)[lo - top : hi - top]
+            product = stacks.block @ columns.reshape(-1, k)
+            product = product.reshape(depth, units, k)[lo:hi]
             np.add(net, product.transpose(0, 2, 1), net)
         else:
             np.add(net, np.matmul(*dense)[..., 0], net)
@@ -514,15 +508,7 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     result with one indexed assignment. Every row is bit-equal to
     stepping its sequence alone.
     """
-    sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
-    if states is None:
-        states = reservoir.initial_states()
-    shapes = [np.shape(state) for state in states]
-    if shapes != [(layer.units,) for layer in reservoir.layers]:
-        raise ValueError(
-            f"states must be {reservoir.config.n_layers} arrays of shape "
-            f"({reservoir.config.units_per_layer},), got shapes {shapes}"
-        )
+    sequences, states = _checked(reservoir, sequences, states)
     if not sequences:
         return []
     depth, units = reservoir.config.n_layers, reservoir.config.units_per_layer
@@ -579,12 +565,17 @@ def run_online(reservoir, sequences, on_step) -> None:
 def step_deep(
     reservoir: DeepReservoir, states: list[np.ndarray], inputs: np.ndarray
 ) -> list[np.ndarray]:
-    """Advance every layer by one step: `run_layers` on one input row.
+    """Advance every layer by one step, bottom up, each by its own `step`.
 
     Layer l sees the state that layer l - 1 reached in this same call.
+    The checks and states are those of `run_layers` on one input row.
     """
-    row = run_layers(reservoir, [[inputs]], states)[0][0]
-    return list(row.reshape(len(reservoir.layers), -1))
+    (drives,), states = _checked(reservoir, [[inputs]], states)
+    reservoir._weight_stacks()  # refuses layers that contradict the config
+    out = [drives[0]]
+    for layer, state in zip(reservoir.layers, states):
+        out.append(layer.step(state, out[-1]))
+    return out[1:]
 
 
 def run_sequence(

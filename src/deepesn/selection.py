@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from itertools import product
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -258,8 +258,9 @@ def grid_search(
     if workers == 1:
         outcomes = list(map(run, configs))
     else:
-        with Pool(processes=min(workers, len(configs))) as pool:
-            outcomes = pool.map(run, configs)
+        # A worker that dies raises BrokenProcessPool here, not a hang.
+        with ProcessPoolExecutor(min(workers, len(configs))) as pool:
+            outcomes = list(pool.map(run, configs))
 
     trials = []
     for (arch_index, rho, rate, scaling, guess, seed), (status, payload) in zip(

@@ -96,12 +96,37 @@ def test_import_runs_no_subprocess(monkeypatch):
     assert callable(load_script().main)
 
 
-def test_benchmark_identical(bench_pairs, tmp_path):
+def git_in(root):
     def git(*args):
         subprocess.run(
             ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-            cwd=tmp_path, check=True, capture_output=True,
+            cwd=root, check=True, capture_output=True,
         )
+    return git
+
+
+def test_src_lines_of_parent_and_working_tree(bench_pairs, tmp_path):
+    repo, parent = tmp_path / "repo", tmp_path / "parent"
+    package = repo / "src" / "deepesn"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("a\nb\nc\n")
+    (package / "b.py").write_text("d\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (repo / "other.py").write_text("not\ncounted\n")
+    git = git_in(repo)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (package / "a.py").write_text("a\n")
+    (package / "c.py").write_text("e\nf")  # no final newline, as wc -l counts
+    parent.mkdir()
+    bench_pairs.unpack(str(repo), "HEAD", str(parent))
+    assert bench_pairs.src_lines(str(parent)) == 4
+    assert bench_pairs.src_lines(str(repo)) == 3
+
+
+def test_benchmark_identical(bench_pairs, tmp_path):
+    git = git_in(tmp_path)
 
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text("a\n")

@@ -66,6 +66,14 @@ class TestCollectPairs:
         pairs = collect_pairs(res, [dense_long], washout=2)
         assert pairs == []
 
+    def test_rejects_negative_washout(self):
+        ds = make_synthetic_dataset(seed=5)
+        res = init_deep_reservoir(small_config(ds.dim))
+        with pytest.raises(ValueError, match="washout must be >= 0, got -1"):
+            collect_pairs(res, ds.dense("train"), washout=-1)
+        with pytest.raises(ValueError, match="washout must be >= 0, got -1"):
+            collect_splits(res, [ds.dense("train")], washout=-1)
+
 
 class TestBatchOracle:
     """One batch over unequal sequences equals running each one alone."""
@@ -235,6 +243,19 @@ class TestSweepRidges:
         ds = make_synthetic_dataset(seed=4)
         with pytest.raises(ValueError, match=message):
             sweep_ridges(ds, small_config(ds.dim), ridges)
+
+    @pytest.mark.parametrize("washout", [-1, -50])
+    def test_negative_washout_checked_before_any_work(self, monkeypatch, washout):
+        # a negative washout would fit and score only the last steps
+        def refuse(config):
+            raise AssertionError("reservoir built before the washout was checked")
+
+        monkeypatch.setattr("deepesn.experiment.init_deep_reservoir", refuse)
+        ds = make_synthetic_dataset(seed=4)
+        with pytest.raises(ValueError, match=f"washout must be >= 0, got {washout}"):
+            sweep_ridges(ds, small_config(ds.dim), (1e-3,), washout=washout)
+        with pytest.raises(ValueError, match=f"washout must be >= 0, got {washout}"):
+            run_model(ds, small_config(ds.dim), 1e-3, washout=washout)
 
     def test_washout_must_leave_a_step_in_every_split(self):
         # the longest valid sequence has 54 frames, train and test have 57:

@@ -282,6 +282,59 @@ class TestStackOracle:
     def test_zero_length_input(self):
         assert run_sequence(self.res, np.zeros((0, 4))).shape == (0, 90)
 
+    @pytest.mark.parametrize("connectivity", [0.2, 1.0])
+    def test_six_layer_step_deep_loop_matches_reference(self, connectivity):
+        res = init_deep_reservoir(small_config(n_layers=6, connectivity=connectivity))
+        rng = np.random.default_rng(12)
+        for layer in res.layers:
+            layer.gain = rng.uniform(0.5, 1.5, size=30)
+            layer.bias = rng.uniform(-0.2, 0.2, size=30)
+        inputs = rng.uniform(-1, 1, size=(40, 4))
+        states = [rng.uniform(-1, 1, size=30) for _ in range(6)]
+        expected = reference_stack(res.layers, inputs, states)
+        for t in range(inputs.shape[0]):
+            states = step_deep(res, states, inputs[t])
+            assert np.array_equal(np.concatenate(states), expected[t])
+
+
+def non_canonical(matrix) -> sp.csr_matrix:
+    """`matrix` as CSR with every row's entries reversed and row 0's first
+    entry given a duplicate."""
+    matrix = sp.csr_matrix(matrix)
+    rows = [slice(a, b) for a, b in zip(matrix.indptr[:-1], matrix.indptr[1:])]
+    indices = [matrix.indices[row][::-1] for row in rows]
+    data = [matrix.data[row][::-1] for row in rows]
+    indices[0] = np.append(indices[0], indices[0][0])
+    data[0] = np.append(data[0], 0.125)
+    indptr = np.cumsum([0] + [len(row) for row in indices])
+    out = sp.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=matrix.shape
+    )
+    assert not out.has_sorted_indices and not out.has_canonical_format
+    return out
+
+
+class TestNonCanonicalRecurrent:
+    """A layer's unsorted, duplicated CSR matrix is summed in one order
+    by `step_deep`, the wave kernel and the layer's own `W @ x`."""
+
+    def test_step_deep_run_sequence_and_reference_agree(self):
+        res = init_deep_reservoir(small_config(n_layers=3))
+        given = non_canonical(res.layers[1].recurrent)
+        given_indices = given.indices.copy()
+        res.layers[1].recurrent = given
+        rng = np.random.default_rng(13)
+        inputs = rng.uniform(-1, 1, size=(40, 4))
+        states, stepped = res.initial_states(), []
+        for t in range(inputs.shape[0]):
+            states = step_deep(res, states, inputs[t])
+            stepped.append(np.concatenate(states))
+        assert np.array_equal(stepped, run_sequence(res, inputs))
+        expected = reference_stack(res.layers, inputs, res.initial_states())
+        assert np.array_equal(stepped, expected)
+        # the caller's matrix is left as given
+        assert np.array_equal(given.indices, given_indices)
+
 
 def weight_bytes(reservoir):
     total = 0
@@ -382,6 +435,8 @@ class TestLayersMatchConfig:
         message = rf"layer {replaced[0]}: {name} must have shape \(3,\), got \({size},\)"
         with pytest.raises(ValueError, match=message):
             run_sequence(res, np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=message):
+            step_deep(res, res.initial_states(), np.zeros(3))
         with pytest.raises(ValueError, match=message):
             DeepReservoir(config=config, layers=res.layers)
 

@@ -1,3 +1,7 @@
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -129,6 +133,18 @@ class TestGridSearch:
         assert all("washout" in t.error for t in result.trials)
         assert result.best is None
 
+    def test_negative_washout_fails_every_trial(self):
+        ds = make_synthetic_dataset(seed=3)
+        base = ReservoirConfig(input_dim=ds.dim, n_layers=1, units_per_layer=10)
+        grid = GridSpec(
+            spectral_radii=(0.5,), leaky_rates=(0.5,), input_scalings=(1.0,),
+            ridges=(1e-3, 1e-1), n_guesses=2,
+        )
+        result = grid_search(ds, base, grid=grid, master_seed=7, washout=-1)
+        assert [t.status for t in result.trials] == ["failed"] * 4
+        assert all("washout must be >= 0" in t.error for t in result.trials)
+        assert result.best is None
+
     def test_seed_shared_across_ridges(self):
         result = tiny_search()
         by_key = {(t.config_index, t.guess): t.seed for t in result.trials}
@@ -169,7 +185,7 @@ class TestGridSearch:
             def map(self, func, items):
                 return list(map(func, items))
 
-        monkeypatch.setattr("deepesn.selection.Pool", SerialPool)
+        monkeypatch.setattr("deepesn.selection.ProcessPoolExecutor", SerialPool)
         grid = GridSpec(
             spectral_radii=(0.5,), leaky_rates=(0.5,), input_scalings=(1.0,),
             ridges=(1e-3,), n_guesses=2,
@@ -219,6 +235,30 @@ class TestFailureHandling:
         assert all(t.valid_acc is None for t in failed)
         # only the surviving cell can be selected
         assert result.best.spectral_radius == 0.5
+
+    def test_dead_worker_ends_the_grid(self, monkeypatch):
+        # a worker killed outright, as by the OOM killer, must end the
+        # search with an error; the alarm turns a hang into a failure
+        parent = os.getpid()
+        survive = self.fake_sweep(lambda cfg: False)
+
+        def sweep(dataset, config, ridges, **kwargs):
+            if os.getpid() != parent and config.spectral_radius_target > 0.7:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return survive(dataset, config, ridges)
+
+        def hung(signum, frame):
+            raise TimeoutError("grid_search still waiting after a worker died")
+
+        monkeypatch.setattr("deepesn.selection.sweep_ridges", sweep)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                tiny_search(workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_all_failed_gives_no_best(self, monkeypatch):
         monkeypatch.setattr(
