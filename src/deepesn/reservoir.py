@@ -578,6 +578,15 @@ def step_deep(
     return out[1:]
 
 
+def _check_washout(washout) -> int:
+    """`washout`, if it is an integer >= 0; raise before any work if not."""
+    if not isinstance(washout, (int, np.integer)):
+        raise TypeError(f"washout must be an integer, got {washout!r}")
+    if washout < 0:
+        raise ValueError(f"washout must be >= 0, got {washout}")
+    return washout
+
+
 def run_sequence(
     reservoir: DeepReservoir,
     inputs: np.ndarray,
@@ -593,7 +602,7 @@ def run_sequence(
     layer, replaces the rest state.
     """
     inputs = _checked_inputs(reservoir, inputs)
-    if not 0 <= washout <= inputs.shape[0]:
+    if _check_washout(washout) > inputs.shape[0]:
         raise ValueError(
             f"washout {washout} out of range for a {inputs.shape[0]}-step sequence"
         )

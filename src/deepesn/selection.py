@@ -21,7 +21,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -178,39 +178,44 @@ def guess_seed(master_seed: int, arch_index: int, guess: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint32)[0])
 
 
-def _run_work(config, dataset, ridges, **settings):
-    """Run one (configuration cell, guess) ridge sweep; never raises."""
+def _run_work(item, dataset, ridges, settings):
+    """Run one (cell, guess) ridge sweep and report each ridge; never raises."""
+    first_index, config, shared = item
     try:
-        return "ok", sweep_ridges(dataset, config, ridges, **settings)
+        sweeps = sweep_ridges(dataset, config, ridges, **settings)
+        outcomes = [dict(status="ok", **asdict(result)) for result in sweeps]
     except Exception as exc:  # report the failure, keep the search going
-        return "failed", f"{type(exc).__name__}: {exc}"
+        outcomes = [dict(status="failed", error=f"{type(exc).__name__}: {exc}")]
+        outcomes *= len(ridges)
+    return [
+        TrialReport(config_index=first_index + i, ridge=ridge, **shared, **outcome)
+        for i, (ridge, outcome) in enumerate(zip(ridges, outcomes))
+    ]
 
 
-def _select_best(trials, grid: GridSpec) -> BestConfig | None:
+def _select_best(trials) -> BestConfig | None:
     by_config = {}
     for trial in trials:
         if trial.status == "ok":
             by_config.setdefault(trial.config_index, []).append(trial)
-    best = None
-    best_mean = -1.0
-    for config_index in sorted(by_config):
-        group = by_config[config_index]
-        mean_valid = float(np.mean([t.valid_acc for t in group]))
-        if mean_valid > best_mean:  # ties keep the earlier grid index
-            best_mean = mean_valid
-            first = group[0]
-            best = BestConfig(
-                config_index=config_index,
-                spectral_radius=first.spectral_radius,
-                leaky_rate=first.leaky_rate,
-                input_scaling=first.input_scaling,
-                ridge=first.ridge,
-                mean_valid_acc=mean_valid,
-                mean_test_acc=float(np.mean([t.test_acc for t in group])),
-                std_test_acc=float(np.std([t.test_acc for t in group])),
-                n_guesses_ok=len(group),
-            )
-    return best
+    if not by_config:
+        return None
+    means = {i: float(np.mean([t.valid_acc for t in g])) for i, g in by_config.items()}
+    # max keeps the first of equal means, so ties keep the earlier grid index
+    config_index = max(sorted(means), key=means.__getitem__)
+    group = by_config[config_index]
+    first = group[0]
+    return BestConfig(
+        config_index=config_index,
+        spectral_radius=first.spectral_radius,
+        leaky_rate=first.leaky_rate,
+        input_scaling=first.input_scaling,
+        ridge=first.ridge,
+        mean_valid_acc=means[config_index],
+        mean_test_acc=float(np.mean([t.test_acc for t in group])),
+        std_test_acc=float(np.std([t.test_acc for t in group])),
+        n_guesses_ok=len(group),
+    )
 
 
 def grid_search(
@@ -228,62 +233,42 @@ def grid_search(
 
     `base` fixes layers, units, and connectivity; its radius, rate,
     scaling, and seed fields are overwritten per cell. Work is split by
-    (cell, guess) and optionally spread over worker processes; results
-    come back in deterministic order either way.
+    (cell, guess), each item building its own trial reports, and
+    optionally spread over worker processes; results come back in
+    deterministic order either way.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    arch_cells = list(
-        product(grid.spectral_radii, grid.leaky_rates, grid.input_scalings)
-    )
-    work_meta = []
-    configs = []
-    for arch_index, (rho, rate, scaling) in enumerate(arch_cells):
+    cells = product(grid.spectral_radii, grid.leaky_rates, grid.input_scalings)
+    items = []
+    for arch_index, (rho, rate, scaling) in enumerate(cells):
+        cell = replace(
+            base,
+            input_dim=dataset.dim,
+            spectral_radius_target=clip_radius_target(rho),
+            leaky_rate=rate,
+            input_scaling=scaling,
+        )
+        first_index = arch_index * len(grid.ridges)
         for guess in range(grid.n_guesses):
             seed = guess_seed(master_seed, arch_index, guess)
-            config = replace(
-                base,
-                input_dim=dataset.dim,
-                spectral_radius_target=clip_radius_target(rho),
-                leaky_rate=rate,
-                input_scaling=scaling,
-                seed=seed,
+            shared = dict(
+                spectral_radius=rho, leaky_rate=rate, input_scaling=scaling,
+                guess=guess, seed=seed,
             )
-            work_meta.append((arch_index, rho, rate, scaling, guess, seed))
-            configs.append(config)
-    run = partial(
-        _run_work, dataset=dataset, ridges=grid.ridges, ip=ip, washout=washout,
-        threshold=threshold, tune_threshold=tune_threshold,
+            items.append((first_index, replace(cell, seed=seed), shared))
+    settings = dict(
+        ip=ip, washout=washout, threshold=threshold, tune_threshold=tune_threshold
     )
+    run = partial(_run_work, dataset=dataset, ridges=grid.ridges, settings=settings)
     if workers == 1:
-        outcomes = list(map(run, configs))
+        outcomes = list(map(run, items))
     else:
         # A worker that dies raises BrokenProcessPool here, not a hang.
-        with ProcessPoolExecutor(min(workers, len(configs))) as pool:
-            outcomes = list(pool.map(run, configs))
-
-    trials = []
-    for (arch_index, rho, rate, scaling, guess, seed), (status, payload) in zip(
-        work_meta, outcomes
-    ):
-        for ridge_index, ridge in enumerate(grid.ridges):
-            config_index = arch_index * len(grid.ridges) + ridge_index
-            common = dict(
-                config_index=config_index,
-                spectral_radius=rho,
-                leaky_rate=rate,
-                input_scaling=scaling,
-                ridge=ridge,
-                guess=guess,
-                seed=seed,
-            )
-            if status == "ok":
-                scores = asdict(payload[ridge_index])
-                trials.append(TrialReport(status="ok", **scores, **common))
-            else:
-                trials.append(TrialReport(status="failed", error=payload, **common))
-    trials.sort(key=lambda t: (t.config_index, t.guess))
-    return SelectionResult(trials=trials, best=_select_best(trials, grid))
+        with ProcessPoolExecutor(min(workers, len(items))) as pool:
+            outcomes = list(pool.map(run, items))
+    trials = sorted(chain(*outcomes), key=lambda t: (t.config_index, t.guess))
+    return SelectionResult(trials=trials, best=_select_best(trials))
 
 
 def deep_trained_parameters(

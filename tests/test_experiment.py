@@ -74,6 +74,20 @@ class TestCollectPairs:
         with pytest.raises(ValueError, match="washout must be >= 0, got -1"):
             collect_splits(res, [ds.dense("train")], washout=-1)
 
+    @pytest.mark.parametrize("washout", [1.5, 2.0])
+    def test_rejects_non_integer_washout_before_running(self, monkeypatch, washout):
+        # a float washout used to run every sequence, then fail in slicing
+        def refuse(*args, **kwargs):
+            raise AssertionError("sequences run before the washout was checked")
+
+        ds = make_synthetic_dataset(seed=5)
+        res = init_deep_reservoir(small_config(ds.dim))
+        monkeypatch.setattr("deepesn.experiment.run_layers", refuse)
+        with pytest.raises(TypeError, match="washout must be an integer"):
+            collect_pairs(res, ds.dense("train"), washout=washout)
+        with pytest.raises(TypeError, match="washout must be an integer"):
+            collect_splits(res, [ds.dense("train")], washout=washout)
+
 
 class TestBatchOracle:
     """One batch over unequal sequences equals running each one alone."""
@@ -256,6 +270,46 @@ class TestSweepRidges:
             sweep_ridges(ds, small_config(ds.dim), (1e-3,), washout=washout)
         with pytest.raises(ValueError, match=f"washout must be >= 0, got {washout}"):
             run_model(ds, small_config(ds.dim), 1e-3, washout=washout)
+
+    @pytest.mark.parametrize("washout", [1.5, 2.0])
+    def test_non_integer_washout_checked_before_any_work(self, monkeypatch, washout):
+        def refuse(config):
+            raise AssertionError("reservoir built before the washout was checked")
+
+        monkeypatch.setattr("deepesn.experiment.init_deep_reservoir", refuse)
+        ds = make_synthetic_dataset(seed=4)
+        with pytest.raises(TypeError, match="washout must be an integer"):
+            sweep_ridges(ds, small_config(ds.dim), (1e-3,), washout=washout)
+        with pytest.raises(TypeError, match="washout must be an integer"):
+            run_model(ds, small_config(ds.dim), 1e-3, washout=washout)
+
+    def test_numpy_integer_washout_accepted(self):
+        ds = make_synthetic_dataset(seed=4)
+        cfg = small_config(ds.dim)
+        a = run_model(ds, cfg, 1e-3, washout=np.int64(2))
+        b = run_model(ds, cfg, 1e-3, washout=2)
+        assert (a.train_acc, a.valid_acc, a.test_acc) == (
+            b.train_acc, b.valid_acc, b.test_acc
+        )
+
+    @pytest.mark.parametrize("tune_threshold", [False, True])
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_checked_before_any_work(
+        self, monkeypatch, threshold, tune_threshold
+    ):
+        # nan and inf used to score 0.0 on every split without a word
+        def refuse(config):
+            raise AssertionError("reservoir built before the threshold was checked")
+
+        monkeypatch.setattr("deepesn.experiment.init_deep_reservoir", refuse)
+        ds = make_synthetic_dataset(seed=4)
+        cfg = small_config(ds.dim)
+        settings = dict(threshold=threshold, tune_threshold=tune_threshold)
+        message = f"threshold must be finite, got {threshold}"
+        with pytest.raises(ValueError, match=message):
+            sweep_ridges(ds, cfg, (1e-3,), **settings)
+        with pytest.raises(ValueError, match=message):
+            run_model(ds, cfg, 1e-3, **settings)
 
     def test_washout_must_leave_a_step_in_every_split(self):
         # the longest valid sequence has 54 frames, train and test have 57:

@@ -233,6 +233,23 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence(res, np.zeros((10, 4)), washout=11)
 
+    @pytest.mark.parametrize(
+        "washout, error, message",
+        [
+            (1.5, TypeError, "washout must be an integer, got 1.5"),
+            (-1, ValueError, "washout must be >= 0, got -1"),
+        ],
+        ids=["float", "negative"],
+    )
+    def test_washout_checked_before_running(self, monkeypatch, washout, error, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sequence run before the washout was checked")
+
+        res = init_deep_reservoir(small_config())
+        monkeypatch.setattr("deepesn.reservoir.run_layers", refuse)
+        with pytest.raises(error, match=message):
+            run_sequence(res, np.zeros((10, 4)), washout=washout)
+
     def test_initial_states_are_zero(self):
         res = init_deep_reservoir(small_config())
         for state in res.initial_states():

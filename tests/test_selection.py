@@ -145,6 +145,27 @@ class TestGridSearch:
         assert all("washout must be >= 0" in t.error for t in result.trials)
         assert result.best is None
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"washout": 1.5}, "washout must be an integer"),
+            ({"threshold": float("nan")}, "threshold must be finite"),
+            ({"threshold": float("inf")}, "threshold must be finite"),
+        ],
+        ids=["washout-float", "threshold-nan", "threshold-inf"],
+    )
+    def test_bad_setting_fails_every_trial(self, setting, message):
+        ds = make_synthetic_dataset(seed=3)
+        base = ReservoirConfig(input_dim=ds.dim, n_layers=1, units_per_layer=10)
+        grid = GridSpec(
+            spectral_radii=(0.5,), leaky_rates=(0.5,), input_scalings=(1.0,),
+            ridges=(1e-3, 1e-1), n_guesses=2,
+        )
+        result = grid_search(ds, base, grid=grid, master_seed=7, **setting)
+        assert [t.status for t in result.trials] == ["failed"] * 4
+        assert all(message in t.error for t in result.trials)
+        assert result.best is None
+
     def test_seed_shared_across_ridges(self):
         result = tiny_search()
         by_key = {(t.config_index, t.guess): t.seed for t in result.trials}
@@ -235,6 +256,30 @@ class TestFailureHandling:
         assert all(t.valid_acc is None for t in failed)
         # only the surviving cell can be selected
         assert result.best.spectral_radius == 0.5
+
+    def test_failed_reports_keep_their_metadata(self, monkeypatch):
+        # a failed sweep reports every ridge of its (cell, guess) item
+        # under the same identity as an all-ok run of the grid
+        fields = (
+            "config_index", "ridge", "guess", "seed",
+            "spectral_radius", "leaky_rate", "input_scaling",
+        )
+        scores = ("train_acc", "valid_acc", "test_acc", "threshold", "seconds")
+        ok = tiny_search()
+        monkeypatch.setattr(
+            "deepesn.selection.sweep_ridges",
+            self.fake_sweep(lambda cfg: cfg.spectral_radius_target > 0.7),
+        )
+        mixed = tiny_search()
+        assert {t.status for t in ok.trials} == {"ok"}
+        assert len(mixed.trials) == len(ok.trials)
+        failed = 0
+        for a, b in zip(ok.trials, mixed.trials):
+            assert [getattr(b, f) for f in fields] == [getattr(a, f) for f in fields]
+            if b.status == "failed":
+                failed += 1
+                assert [getattr(b, f) for f in scores] == [None] * len(scores)
+        assert failed == 4
 
     def test_dead_worker_ends_the_grid(self, monkeypatch):
         # a worker killed outright, as by the OOM killer, must end the
