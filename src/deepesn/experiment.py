@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
 from .metrics import FrameCounts, frame_counts
 from .readout import RidgeAccumulator, RidgeReadout, _check_ridge
-from .reservoir import ReservoirConfig, _check_washout, init_deep_reservoir, run_layers
+from .reservoir import ReservoirConfig, _check_count, init_deep_reservoir, run_layers
 
 __all__ = [
     "THRESHOLD_GRID",
@@ -73,7 +73,7 @@ def collect_splits(reservoir, splits, washout: int = 0) -> list[list]:
     this equals collecting split by split; one batch shares each wave's
     pass over the weights among more sequences.
     """
-    _check_washout(washout)
+    _check_count("washout", washout, 0)
     states, targets = _collect(reservoir, splits, washout)
     states = iter(states)
     return [[(next(states)[washout:], t[washout:]) for t in split] for split in targets]
@@ -191,14 +191,19 @@ def sweep_ridges(
     packed states into one reused buffer, whose washout rows are set to
     NaN, which no threshold counts. Each result reports the standalone
     cost of its trial: shared time plus its own solve and scoring time.
-    `ridges`, `washout` and `threshold` are checked before any work.
+    `config.input_dim`, `ridges`, `washout` and `threshold` are checked
+    before any work.
     """
+    if config.input_dim != dataset.dim:
+        raise ValueError(
+            f"input_dim must be the dataset's dim {dataset.dim}, got {config.input_dim}"
+        )
     ridges = tuple(ridges)
     if not ridges:
         raise ValueError("ridges must not be empty")
     for ridge in ridges:
         _check_ridge(ridge)
-    _check_washout(washout)
+    _check_count("washout", washout, 0)
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     start = time.perf_counter()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reservoir import DeepReservoir, run_online
+from .reservoir import DeepReservoir, _check_count, run_online
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +49,7 @@ class IpConfig:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        _check_count("epochs", self.epochs, 1)
 
 
 class _IpRule:

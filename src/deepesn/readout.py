@@ -22,12 +22,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["RidgeAccumulator", "RidgeReadout", "ridge_solve", "binarize"]
 
-# Side of the square tiles in which the Gram's lower triangle is copied,
-# transposed, into the upper triangle of a solve's working array. On a
-# 2-CPU machine at n = 6001, tiles of 128 took 0.08 s, tiles of 32
-# 0.15 s and whole 256-column strips 0.18 s.
-_COPY_TILE = 128
-
 
 def ridge_solve(xtx: np.ndarray, xty: np.ndarray, ridge: float) -> np.ndarray:
     """Solve (X^T X + ridge I) W = X^T Y for W.
@@ -99,7 +93,7 @@ class RidgeAccumulator:
             )
         self.state_dim = state_dim
         self.output_dim = output_dim
-        # lower triangle of the state block of X^T X, updated in place
+        # upper triangle of the state block of X^T X, updated in place
         self._gram = np.zeros((state_dim, state_dim), order="F")
         self._col_sums = np.zeros(state_dim)
         self.xty = np.zeros((state_dim + 1, output_dim))
@@ -112,7 +106,7 @@ class RidgeAccumulator:
         `states` has shape (T, state_dim) and `targets` (T, output_dim).
         The bias blocks are updated without materializing the augmented
         design matrix, and the state block by one in-place symmetric
-        rank-T update of its lower triangle.
+        rank-T update of its upper triangle.
         """
         states = np.asarray(states, dtype=float)
         targets = np.asarray(targets, dtype=float)
@@ -129,9 +123,8 @@ class RidgeAccumulator:
         # Both products go to scipy's BLAS, in place: c is float64 and
         # F-contiguous, so f2py makes no copy of it. Switching between
         # numpy's and scipy's BLAS thread pools on every batch costs more
-        # than the products at a few hundred features. The lower triangle
-        # is the one numpy's `states.T @ states` computes.
-        dsyrk(1.0, states.T, beta=1.0, c=self._gram, lower=1, overwrite_c=1)
+        # than the products at a few hundred features.
+        dsyrk(1.0, states.T, beta=1.0, c=self._gram, lower=0, overwrite_c=1)
         dgemm(1.0, targets.T, states.T, beta=1.0, c=self.xty[:d].T, trans_b=1,
               overwrite_c=1)
         self._col_sums += states.sum(axis=0)
@@ -148,20 +141,13 @@ class RidgeAccumulator:
 
         The array is allocated on the first call and refilled in place on
         every later one, so each ridge's solve reuses pages already
-        touched. Only its upper triangle is exact and only that is read;
-        the strict lower triangle holds whatever a factorization left
-        there. The state block's upper triangle is the transposed lower
-        one of the Gram, copied a tile at a time to stay in cache.
+        touched. Only its upper triangle is exact, and only that is read.
         """
         d = self.state_dim
         if self._work is None:
             self._work = np.zeros((d + 1, d + 1), order="F")
         a = self._work
-        for left in range(0, d, _COPY_TILE):
-            right = min(left + _COPY_TILE, d)
-            for top in range(0, right, _COPY_TILE):
-                bottom = min(top + _COPY_TILE, right)
-                a[top:bottom, left:right] = self._gram[left:right, top:bottom].T
+        a[:d, :d] = self._gram
         a[:d, d] = self._col_sums
         a[d, d] = self.n_samples
         return a

@@ -45,6 +45,15 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value, minimum: int) -> int:
+    """`value`, if it is an integer >= `minimum`; TypeError or ValueError if not."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class ReservoirConfig:
     """Architecture and initialization parameters for a deep reservoir.
@@ -73,14 +82,8 @@ class ReservoirConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.units_per_layer < 1:
-            raise ValueError(
-                f"units_per_layer must be >= 1, got {self.units_per_layer}"
-            )
+        for name in ("input_dim", "n_layers", "units_per_layer"):
+            _check_count(name, getattr(self, name), 1)
         if not 0.0 < self.leaky_rate <= 1.0:
             raise ValueError(f"leaky_rate must be in (0, 1], got {self.leaky_rate}")
         if not 0.0 < self.spectral_radius_target < 1.0:
@@ -198,12 +201,8 @@ def _stack_into(layers, name) -> np.ndarray:
 
     Filled layer by layer, and each layer's own array is dropped as soon
     as it is copied, so at most one layer's array is held twice at a
-    time. A single layer's array is viewed, not copied.
+    time.
     """
-    if len(layers) == 1:
-        stack = np.asarray(getattr(layers[0], name), dtype=float)[None]
-        setattr(layers[0], name, stack[0])
-        return stack
     stack = np.empty((len(layers),) + np.shape(getattr(layers[0], name)))
     for layer, slot in zip(layers, stack):
         slot[...] = getattr(layer, name)
@@ -253,8 +252,7 @@ class _WeightStacks:
             for layer in layers:
                 layer.recurrent = sp.csr_matrix(layer.recurrent, copy=True)
                 layer.recurrent.sum_duplicates()
-            matrices = [layer.recurrent for layer in layers]
-            self.block = matrices[0] if len(layers) == 1 else sp.block_diag(matrices, "csr")
+            self.block = sp.block_diag([layer.recurrent for layer in layers], "csr")
         else:
             self.dense = _stack_into(layers, "recurrent")
         self.gain = _stack_into(layers, "gain")
@@ -578,15 +576,6 @@ def step_deep(
     return out[1:]
 
 
-def _check_washout(washout) -> int:
-    """`washout`, if it is an integer >= 0; raise before any work if not."""
-    if not isinstance(washout, (int, np.integer)):
-        raise TypeError(f"washout must be an integer, got {washout!r}")
-    if washout < 0:
-        raise ValueError(f"washout must be >= 0, got {washout}")
-    return washout
-
-
 def run_sequence(
     reservoir: DeepReservoir,
     inputs: np.ndarray,
@@ -602,7 +591,7 @@ def run_sequence(
     layer, replaces the rest state.
     """
     inputs = _checked_inputs(reservoir, inputs)
-    if _check_washout(washout) > inputs.shape[0]:
+    if _check_count("washout", washout, 0) > inputs.shape[0]:
         raise ValueError(
             f"washout {washout} out of range for a {inputs.shape[0]}-step sequence"
         )

@@ -28,7 +28,7 @@ import numpy as np
 from .data import PianoRollDataset
 from .experiment import sweep_ridges
 from .ip import IpConfig
-from .reservoir import ReservoirConfig
+from .reservoir import ReservoirConfig, _check_count
 
 logger = logging.getLogger(__name__)
 
@@ -97,8 +97,7 @@ class GridSpec:
         for r in self.ridges:
             if not 0.0 <= r < math.inf:
                 raise ValueError(f"ridges must be finite and >= 0, got {r}")
-        if self.n_guesses < 1:
-            raise ValueError(f"n_guesses must be >= 1, got {self.n_guesses}")
+        _check_count("n_guesses", self.n_guesses, 1)
 
     @property
     def n_configs(self) -> int:
@@ -237,8 +236,7 @@ def grid_search(
     optionally spread over worker processes; results come back in
     deterministic order either way.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_count("workers", workers, 1)
     cells = product(grid.spectral_radii, grid.leaky_rates, grid.input_scalings)
     items = []
     for arch_index, (rho, rate, scaling) in enumerate(cells):

@@ -258,6 +258,16 @@ class TestSweepRidges:
         with pytest.raises(ValueError, match=message):
             sweep_ridges(ds, small_config(ds.dim), ridges)
 
+    def test_input_dim_checked_before_any_work(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("reservoir built before input_dim was checked")
+
+        monkeypatch.setattr("deepesn.experiment.init_deep_reservoir", refuse)
+        ds = make_synthetic_dataset(seed=4)
+        message = f"input_dim must be the dataset's dim {ds.dim}, got {ds.dim + 1}"
+        with pytest.raises(ValueError, match=message):
+            sweep_ridges(ds, small_config(ds.dim + 1), (1e-3,))
+
     @pytest.mark.parametrize("washout", [-1, -50])
     def test_negative_washout_checked_before_any_work(self, monkeypatch, washout):
         # a negative washout would fit and score only the last steps

@@ -92,7 +92,7 @@ class TestAccumulatorOracle:
         acc.add(states, targets)
         want_xtx, want_xty = reference_blocks([(states, targets)])
         np.testing.assert_allclose(
-            np.tril(gram), np.tril(want_xtx[:300, :300]), rtol=self.RTOL
+            np.triu(gram), np.triu(want_xtx[:300, :300]), rtol=self.RTOL
         )
         np.testing.assert_allclose(xty, want_xty, rtol=self.RTOL)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from deepesn.data import make_synthetic_dataset
-from deepesn.experiment import TrialResult
+from deepesn.experiment import TrialResult, sweep_ridges
+from deepesn.ip import IpConfig
 from deepesn.reservoir import ReservoirConfig
 from deepesn.selection import (
     GridSpec,
@@ -92,6 +93,28 @@ class TestGridSpec:
     def test_clip_radius_target(self):
         assert clip_radius_target(0.9) == 0.9
         assert 0.0 < clip_radius_target(1.0) < 1.0
+
+
+def _sweep_with_ip_epochs(epochs):
+    ds = make_synthetic_dataset(seed=3)
+    config = ReservoirConfig(ds.dim, 1, 10, connectivity=0.2)
+    return sweep_ridges(ds, config, (1e-3,), ip=IpConfig(epochs=epochs))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _sweep_with_ip_epochs(1.5), "epochs must be an integer, got 1.5"),
+        (lambda: GridSpec(n_guesses=1.5), "n_guesses must be an integer, got 1.5"),
+        (lambda: ReservoirConfig(24, 2.0, 20), "n_layers must be an integer, got 2.0"),
+        (lambda: tiny_search(workers=2.5), "workers must be an integer, got 2.5"),
+    ],
+    ids=["ip-epochs", "n-guesses", "n-layers", "workers"],
+)
+def test_non_integer_count_names_its_field(call, message):
+    # each used to be accepted, then fail later with a message naming no field
+    with pytest.raises(TypeError, match=message):
+        call()
 
 
 def tiny_search(workers=1, grid=None, monkey=None):
