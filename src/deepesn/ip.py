@@ -52,53 +52,26 @@ class IpConfig:
         _check_count("epochs", self.epochs, 1)
 
 
-class _IpRule:
-    """The update equation, applied in place to gains and biases.
+def _update(gain, bias, net, y, config: IpConfig):
+    """Update `gain` and `bias` in place; the mask of clamped gains, or None.
 
-    Holds the scalar terms and the work buffers, so a step allocates
-    nothing. The ufuncs run in the order of the module docstring's
-    equations as written, so the result is bit-equal to evaluating them
-    as plain array expressions, row by row.
+    Applies the module docstring's equations one term per statement, in
+    their order, so the result is bit-equal to evaluating them as plain
+    array expressions.
     """
-
-    def __init__(self, config: IpConfig, shape):
-        var = config.target_std**2
-        self._mu = config.target_mean
-        self._var = var
-        self._eta = config.learning_rate
-        self._offset = -self._mu / var
-        self._width = 2.0 * var + 1.0
-        self._db = np.empty(shape)
-        self._dg = np.empty(shape)
-        self._tmp = np.empty(shape)
-        self._low = np.empty(shape, dtype=bool)
-
-    def apply(self, gain, bias, net, y, rows=slice(None)):
-        """Update `gain` and `bias` in place; the mask of clamped gains, or None.
-
-        The operands match the `rows` of the work buffers' shape. The
-        mask is a view of a work buffer, valid until the next call.
-        """
-        db, dg = self._db[rows], self._dg[rows]
-        tmp, low = self._tmp[rows], self._low[rows]
-        np.multiply(y, y, db)
-        np.subtract(self._width, db, db)
-        np.multiply(self._mu, y, tmp)
-        np.add(db, tmp, db)
-        np.divide(y, self._var, tmp)
-        np.multiply(tmp, db, db)
-        np.add(self._offset, db, db)
-        np.multiply(-self._eta, db, db)
-        np.divide(self._eta, gain, dg)
-        np.multiply(db, net, tmp)
-        np.add(dg, tmp, dg)
-        np.add(gain, dg, gain)
-        np.add(bias, db, bias)
-        np.less(gain, _MIN_GAIN, low)
-        if not np.count_nonzero(low):
-            return None
-        np.maximum(gain, _MIN_GAIN, out=gain)
-        return low
+    mu, var, eta = config.target_mean, config.target_std**2, config.learning_rate
+    db = 2.0 * var + 1.0 - y * y
+    db += mu * y
+    db *= y / var
+    db += -mu / var
+    db *= -eta
+    gain += eta / gain + db * net
+    bias += db
+    low = gain < _MIN_GAIN
+    if not np.count_nonzero(low):
+        return None
+    np.maximum(gain, _MIN_GAIN, out=gain)
+    return low
 
 
 def _warn_clamped(count: int) -> None:
@@ -124,7 +97,7 @@ def ip_update(
     """
     gain = np.array(gain, dtype=float)
     bias = np.array(bias, dtype=float)
-    low = _IpRule(config, gain.shape).apply(gain, bias, net, y)
+    low = _update(gain, bias, net, y, config)
     if low is not None:
         _warn_clamped(np.count_nonzero(low))
     return gain, bias
@@ -149,11 +122,10 @@ def pretrain_ip(
     reservoir is modified in place and returned.
     """
     reservoir._weight_stacks().restack_parameters(reservoir.layers)
-    rule = _IpRule(config, (reservoir.config.n_layers, reservoir.config.units_per_layer))
     clamps = np.zeros(reservoir.config.n_layers, dtype=np.int64)
 
     def adapt(rows, gain, bias, net, y):
-        low = rule.apply(gain, bias, net, y, rows)
+        low = _update(gain, bias, net, y, config)
         if low is not None:
             clamps[rows] += np.count_nonzero(low, axis=1)
 

@@ -33,9 +33,11 @@ _POWER_RESTARTS = 5
 _ARNOLDI_FIRST_MIN = 1024
 # Hard ceiling for the last-resort dense eigendecomposition.
 _DENSE_FALLBACK_MAX = 8192
+# Relative tolerance of the iterative radius and norm estimators.
+_RTOL = 1e-6
 
 
-def _power_iteration_radius(matrix, n, rtol):
+def _power_iteration_radius(matrix, n):
     """Estimate |lambda_max| by power iteration with seeded restarts.
 
     Returns None when no restart converges, which happens for instance
@@ -53,12 +55,12 @@ def _power_iteration_radius(matrix, n, rtol):
             estimate = float(abs(v @ w))
             residual = np.linalg.norm(w - estimate * np.sign(v @ w) * v)
             v = v_next
-            if residual <= 0.1 * rtol * max(estimate, 1e-300):
+            if residual <= 0.1 * _RTOL * max(estimate, 1e-300):
                 return estimate
     return None
 
 
-def _arnoldi_radius(matrix, n, rtol):
+def _arnoldi_radius(matrix, n):
     """Estimate |lambda_max| with ARPACK, or None when it fails.
 
     The Krylov subspace is kept well above the ARPACK default: random
@@ -71,7 +73,7 @@ def _arnoldi_radius(matrix, n, rtol):
             matrix,
             k=min(6, n - 2),
             which="LM",
-            tol=rtol,
+            tol=_RTOL,
             ncv=min(n - 1, 96),
             return_eigenvectors=False,
             v0=np.random.default_rng(0).standard_normal(n),
@@ -81,7 +83,7 @@ def _arnoldi_radius(matrix, n, rtol):
         return None
 
 
-def spectral_radius(matrix, rtol: float = 1e-6) -> float:
+def spectral_radius(matrix) -> float:
     """Largest eigenvalue magnitude of a square dense or sparse matrix.
 
     Matrices of order <= 64 use a dense eigendecomposition. Larger ones
@@ -107,7 +109,7 @@ def spectral_radius(matrix, rtol: float = 1e-6) -> float:
         if n > _ARNOLDI_FIRST_MIN:
             estimators.reverse()
         for name, estimator in estimators:
-            estimate = estimator(matrix, n, rtol)
+            estimate = estimator(matrix, n)
             if estimate is not None:
                 return estimate
             logger.debug("%s failed on a %dx%d matrix; falling back", name, n, n)
@@ -119,7 +121,7 @@ def spectral_radius(matrix, rtol: float = 1e-6) -> float:
     )
 
 
-def operator_norm(matrix, rtol: float = 1e-6) -> float:
+def operator_norm(matrix) -> float:
     """Largest singular value of a dense or sparse matrix.
 
     Small and thin matrices use a dense SVD. Larger ones use a seeded
@@ -139,7 +141,7 @@ def operator_norm(matrix, rtol: float = 1e-6) -> float:
             vals = scipy.sparse.linalg.svds(
                 matrix,
                 k=1,
-                tol=rtol,
+                tol=_RTOL,
                 return_singular_vectors=False,
                 v0=np.random.default_rng(0).standard_normal(min(m, n)),
             )

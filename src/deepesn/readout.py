@@ -18,6 +18,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm, dsyrk
 
+from .reservoir import _check_count
+
 logger = logging.getLogger(__name__)
 
 __all__ = ["RidgeAccumulator", "RidgeReadout", "ridge_solve", "binarize"]
@@ -86,13 +88,8 @@ class RidgeAccumulator:
     """
 
     def __init__(self, state_dim: int, output_dim: int):
-        if state_dim < 1 or output_dim < 1:
-            raise ValueError(
-                f"state_dim and output_dim must be >= 1, got "
-                f"{state_dim} and {output_dim}"
-            )
-        self.state_dim = state_dim
-        self.output_dim = output_dim
+        self.state_dim = _check_count("state_dim", state_dim, 1)
+        self.output_dim = _check_count("output_dim", output_dim, 1)
         # upper triangle of the state block of X^T X, updated in place
         self._gram = np.zeros((state_dim, state_dim), order="F")
         self._col_sums = np.zeros(state_dim)

@@ -46,8 +46,8 @@ __all__ = [
 
 
 def _check_count(name: str, value, minimum: int) -> int:
-    """`value`, if it is an integer >= `minimum`; TypeError or ValueError if not."""
-    if not isinstance(value, (int, np.integer)):
+    """`value`, an integer >= `minimum` and no bool; TypeError or ValueError if not."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
@@ -69,7 +69,7 @@ class ReservoirConfig:
             rescaling, finite and strictly positive.
         connectivity: Fraction of nonzero entries in each recurrent
             matrix, in (0, 1]; 1 gives a dense matrix.
-        seed: Seed for the weight-drawing generator.
+        seed: Seed for the weight-drawing generator, an integer >= 0.
     """
 
     input_dim: int
@@ -84,6 +84,7 @@ class ReservoirConfig:
     def __post_init__(self):
         for name in ("input_dim", "n_layers", "units_per_layer"):
             _check_count(name, getattr(self, name), 1)
+        _check_count("seed", self.seed, 0)
         if not 0.0 < self.leaky_rate <= 1.0:
             raise ValueError(f"leaky_rate must be in (0, 1], got {self.leaky_rate}")
         if not 0.0 < self.spectral_radius_target < 1.0:
@@ -106,21 +107,20 @@ class ReservoirConfig:
         return self.n_layers * self.units_per_layer
 
 
-def _leaky_tanh(states, net, gain, bias, keep, leaky_rate, y, tmp):
+def _leaky_tanh(states, net, gain, bias, keep, leaky_rate, y):
     """The elementwise part of the layer equation, in place.
 
     `states` becomes keep * states + a y, with keep = 1 - a and
-    y = tanh(gain * net + bias) written to `y`; `tmp` is a work array of
-    the same shape. The ufuncs run in the order of the equation as
-    written, and every operand broadcasts row by row, so a slab of
-    layers gives each row the bits of that row alone.
+    y = tanh(gain * net + bias) written to `y`. The ufuncs run in the
+    order of the equation as written, and every operand broadcasts row
+    by row, so a slab of layers gives each row the bits of that row
+    alone.
     """
     np.multiply(gain, net, y)
     np.add(y, bias, y)
     np.tanh(y, y)
-    np.multiply(keep, states, states)
-    np.multiply(leaky_rate, y, tmp)
-    np.add(states, tmp, states)
+    states *= keep
+    states += leaky_rate * y
 
 
 @dataclass
@@ -155,10 +155,7 @@ class ReservoirLayer:
         state = np.array(state, dtype=float)
         net = self.feed @ np.asarray(drive, dtype=float) + self.recurrent @ state
         a = self.leaky_rate
-        _leaky_tanh(
-            state, net, self.gain, self.bias, 1.0 - a, a,
-            np.empty_like(state), np.empty_like(state),
-        )
+        _leaky_tanh(state, net, self.gain, self.bias, 1.0 - a, a, np.empty_like(state))
         return state
 
 
@@ -458,7 +455,6 @@ def _waves(stacks, inputs, running, states):
     steps = len(running)
     fed = np.zeros(states.shape)
     y = np.empty(states.shape)
-    tmp = np.empty(states.shape)
     shape = None
     for wave in range(steps + depth - 1):
         lo, hi = max(0, wave - steps + 1), min(depth, wave + 1)
@@ -477,8 +473,7 @@ def _waves(stacks, inputs, running, states):
             net, out = fed[lo:hi, :k], y[lo:hi, :k]
             slab = (
                 states[lo:hi, :k], net, stacks.gain[lo:hi, None],
-                stacks.bias[lo:hi, None], stacks.keep[lo:hi], stacks.leak[lo:hi],
-                out, tmp[lo:hi, :k],
+                stacks.bias[lo:hi, None], stacks.keep[lo:hi], stacks.leak[lo:hi], out,
             )
         if lo == 0:
             np.matmul(stacks.first_feed, inputs[wave, :k, :, None], out=fed[0, :k, :, None])

@@ -48,8 +48,8 @@ __all__ = [
 
 # A radius target of exactly 1 sits on the stability boundary; run it
 # just inside so the contraction condition still holds. The margin must
-# dominate the radius estimator's relative tolerance (1e-6), or the
-# achieved radius could land on the wrong side of 1.
+# dominate the radius estimator's relative tolerance (`linalg._RTOL`), or
+# the achieved radius could land on the wrong side of 1.
 _RADIUS_MARGIN = 1e-6
 
 

@@ -73,6 +73,24 @@ class TestIpUpdate:
         assert gain[0] == 1e-6
         assert any("clamped" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("shape", [(8,), (3, 50)], ids=["vector", "slab"])
+    def test_bits_follow_the_equations(self, shape):
+        # the module docstring's equations in plain numpy, clamp included
+        cfg = IpConfig(target_mean=0.05, learning_rate=10.0)
+        rng = np.random.default_rng(6)
+        net = rng.uniform(-2, 2, size=shape)
+        g0 = rng.uniform(0.5, 1.5, size=shape)
+        b0 = rng.uniform(-0.2, 0.2, size=shape)
+        y = np.tanh(g0 * net + b0)
+        eta, mu, s = cfg.learning_rate, cfg.target_mean, cfg.target_std
+        db = -eta * (-mu / s**2 + (y / s**2) * (2 * s**2 + 1 - y * y + mu * y))
+        dg = eta / g0 + db * net
+        want_gain = np.maximum(g0 + dg, 1e-6)
+        gain, bias = ip_update(g0, b0, net, y, cfg)
+        assert 0 < np.count_nonzero(gain == 1e-6) < gain.size
+        assert np.array_equal(gain, want_gain)
+        assert np.array_equal(bias, b0 + db)
+
 
 class TestIpConfig:
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from deepesn.data import make_synthetic_dataset
 from deepesn.experiment import TrialResult, sweep_ridges
 from deepesn.ip import IpConfig
+from deepesn.readout import RidgeAccumulator
 from deepesn.reservoir import ReservoirConfig
 from deepesn.selection import (
     GridSpec,
@@ -108,13 +109,23 @@ def _sweep_with_ip_epochs(epochs):
         (lambda: GridSpec(n_guesses=1.5), "n_guesses must be an integer, got 1.5"),
         (lambda: ReservoirConfig(24, 2.0, 20), "n_layers must be an integer, got 2.0"),
         (lambda: tiny_search(workers=2.5), "workers must be an integer, got 2.5"),
+        (lambda: ReservoirConfig(24, 2, 20, seed=1.5), "seed must be an integer, got 1.5"),
+        (lambda: ReservoirConfig(24, True, 20), "n_layers must be an integer, got True"),
+        (lambda: RidgeAccumulator(2.5, 3), "state_dim must be an integer, got 2.5"),
     ],
-    ids=["ip-epochs", "n-guesses", "n-layers", "workers"],
+    ids=["ip-epochs", "n-guesses", "n-layers", "workers", "seed", "bool-n-layers",
+         "state-dim"],
 )
 def test_non_integer_count_names_its_field(call, message):
     # each used to be accepted, then fail later with a message naming no field
     with pytest.raises(TypeError, match=message):
         call()
+
+
+def test_negative_seed_names_its_field():
+    # used to be accepted, then fail in numpy's generator naming no field
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ReservoirConfig(4, 1, 10, seed=-1)
 
 
 def tiny_search(workers=1, grid=None, monkey=None):
