@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
+from .reservoir import _check_count
 
 __all__ = [
     "PIANO_ROLL_DIM",
@@ -215,6 +216,17 @@ def make_synthetic_dataset(
     everywhere and next-frame prediction generalizes across splits; 5%
     of frames carry one extra noise note. Deterministic in `seed`.
     """
+    _check_count("dim", dim, 4)  # room for the largest, 4-note chord
+    _check_count("seed", seed, 0)
+    if len(n_sequences) != len(SPLIT_NAMES):
+        raise ValueError(f"n_sequences must hold 3 counts, got {n_sequences!r}")
+    for count in n_sequences:
+        _check_count("n_sequences", count, 0)
+    if len(length_range) != 2:
+        raise ValueError(f"length_range must hold 2 counts, got {length_range!r}")
+    low, high = (_check_count("length_range", n, 1) for n in length_range)
+    if low > high:
+        raise ValueError(f"length_range must have low <= high, got {length_range!r}")
     rng = np.random.default_rng(seed)
     chords = _random_cycle(rng, dim, int(rng.integers(3, 7)))
     splits = {}
@@ -222,7 +234,7 @@ def make_synthetic_dataset(
         splits[split] = [
             _cycle_sequence(
                 rng, chords, dim,
-                int(rng.integers(length_range[0], length_range[1] + 1)),
+                int(rng.integers(low, high + 1)),
             )
             for _ in range(count)
         ]

@@ -24,9 +24,8 @@ _DENSE_EIG_MAX = 64
 # Dense SVD is used while m*n stays below this, or when one side is tiny.
 _DENSE_SVD_MAX_ELEMS = 2_000_000
 _DENSE_SVD_MAX_MINDIM = 64
-# Power-iteration budget per restart, and number of seeded restarts.
+# Power-iteration budget: products from the one seeded start.
 _POWER_MAX_ITER = 1000
-_POWER_RESTARTS = 5
 # Above this order the Arnoldi solver runs before power iteration: random
 # reservoir spectra fill a disk, so the dominant magnitude is nearly
 # degenerate and power iteration would exhaust its budget first.
@@ -38,25 +37,24 @@ _RTOL = 1e-6
 
 
 def _power_iteration_radius(matrix, n):
-    """Estimate |lambda_max| by power iteration with seeded restarts.
+    """Estimate |lambda_max| by power iteration from one seeded start.
 
-    Returns None when no restart converges, which happens for instance
-    when the dominant eigenvalues form a complex-conjugate pair.
+    Returns None when _POWER_MAX_ITER products do not converge, as when
+    the dominant eigenvalues form a complex-conjugate pair.
     """
-    for restart in range(_POWER_RESTARTS):
-        v = np.random.default_rng(restart).standard_normal(n)
-        v /= np.linalg.norm(v)
-        for _ in range(_POWER_MAX_ITER):
-            w = matrix @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v_next = w / norm
-            estimate = float(abs(v @ w))
-            residual = np.linalg.norm(w - estimate * np.sign(v @ w) * v)
-            v = v_next
-            if residual <= 0.1 * _RTOL * max(estimate, 1e-300):
-                return estimate
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
+    for _ in range(_POWER_MAX_ITER):
+        w = matrix @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        rayleigh = v @ w
+        estimate = float(abs(rayleigh))
+        residual = np.linalg.norm(w - estimate * np.sign(rayleigh) * v)
+        v = w / norm
+        if residual <= 0.1 * _RTOL * max(estimate, 1e-300):
+            return estimate
     return None
 
 
@@ -87,7 +85,7 @@ def spectral_radius(matrix) -> float:
     """Largest eigenvalue magnitude of a square dense or sparse matrix.
 
     Matrices of order <= 64 use a dense eigendecomposition. Larger ones
-    try power iteration, then ARPACK for complex dominant pairs; above
+    try one seeded run of power iteration, then ARPACK; above
     order 1024 ARPACK goes first, where power iteration would stall on
     a near-degenerate dominant magnitude. Each failed estimator logs
     one DEBUG record. A dense decomposition is the last resort before

@@ -236,6 +236,7 @@ def grid_search(
     optionally spread over worker processes; results come back in
     deterministic order either way.
     """
+    _check_count("master_seed", master_seed, 0)
     _check_count("workers", workers, 1)
     cells = product(grid.spectral_radii, grid.leaky_rates, grid.input_scalings)
     items = []

@@ -176,3 +176,31 @@ class TestSynthetic:
                         follower[key] = tuple(b)
         assert total > 100
         assert consistent / total > 0.85
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"dim": 2.5}, TypeError, "dim must be an integer, got 2.5"),
+            ({"dim": True}, TypeError, "dim must be an integer, got True"),
+            ({"dim": 3}, ValueError, "dim must be >= 4, got 3"),
+            ({"seed": -1}, ValueError, "seed must be >= 0, got -1"),
+            ({"n_sequences": (-1, 1, 1)}, ValueError,
+             "n_sequences must be >= 0, got -1"),
+            ({"n_sequences": (True, 1, 1)}, TypeError,
+             "n_sequences must be an integer, got True"),
+            ({"n_sequences": (1, 1)}, ValueError,
+             r"n_sequences must hold 3 counts, got \(1, 1\)"),
+            ({"length_range": (5, 2)}, ValueError,
+             r"length_range must have low <= high, got \(5, 2\)"),
+            ({"length_range": (0, 2)}, ValueError, "length_range must be >= 1, got 0"),
+            ({"length_range": (5,)}, ValueError,
+             r"length_range must hold 2 counts, got \(5,\)"),
+        ],
+        ids=["float-dim", "bool-dim", "small-dim", "negative-seed",
+             "negative-count", "bool-count", "two-counts", "reversed-range",
+             "empty-length", "one-length"],
+    )
+    def test_bad_argument_names_its_field(self, kwargs, error, message):
+        # each used to fail inside numpy naming no field, or be accepted
+        with pytest.raises(error, match=message):
+            make_synthetic_dataset(**kwargs)

@@ -44,6 +44,31 @@ class TestSpectralRadius:
         expected = float(np.max(np.abs(np.linalg.eigvals(m))))
         assert spectral_radius(m) == pytest.approx(expected, rel=1e-5)
 
+    def test_power_iteration_budget_before_arpack(self, monkeypatch):
+        # the same complex dominant pair: power iteration may spend at
+        # most one budget of products before ARPACK takes over
+        class CountingCsr(sp.csr_array):
+            products = 0
+
+            def __matmul__(self, other):
+                CountingCsr.products += 1
+                return super().__matmul__(other)
+
+        before_arpack = []
+        arnoldi = deepesn.linalg._arnoldi_radius
+
+        def counted_arnoldi(matrix, n):
+            before_arpack.append(CountingCsr.products)
+            return arnoldi(matrix, n)
+
+        monkeypatch.setattr(deepesn.linalg, "_arnoldi_radius", counted_arnoldi)
+        rng = np.random.default_rng(3)
+        m = rng.uniform(-1.0, 1.0, size=(150, 150))
+        expected = float(np.max(np.abs(np.linalg.eigvals(m))))
+        assert spectral_radius(CountingCsr(m)) == pytest.approx(expected, rel=1e-5)
+        assert len(before_arpack) == 1
+        assert 0 < before_arpack[0] <= deepesn.linalg._POWER_MAX_ITER
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             spectral_radius(np.ones((3, 4)))

@@ -102,6 +102,16 @@ def _sweep_with_ip_epochs(epochs):
     return sweep_ridges(ds, config, (1e-3,), ip=IpConfig(epochs=epochs))
 
 
+def _grid_with_master_seed(master_seed):
+    ds = make_synthetic_dataset(seed=3)
+    grid = GridSpec(
+        spectral_radii=(0.5,), leaky_rates=(0.5,), input_scalings=(1.0,),
+        ridges=(1e-3,), n_guesses=1,
+    )
+    config = ReservoirConfig(ds.dim, 1, 10, connectivity=0.2)
+    return grid_search(ds, config, grid=grid, master_seed=master_seed)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -112,9 +122,12 @@ def _sweep_with_ip_epochs(epochs):
         (lambda: ReservoirConfig(24, 2, 20, seed=1.5), "seed must be an integer, got 1.5"),
         (lambda: ReservoirConfig(24, True, 20), "n_layers must be an integer, got True"),
         (lambda: RidgeAccumulator(2.5, 3), "state_dim must be an integer, got 2.5"),
+        (lambda: _grid_with_master_seed(1.5), "master_seed must be an integer, got 1.5"),
+        (lambda: _grid_with_master_seed(True),
+         "master_seed must be an integer, got True"),
     ],
     ids=["ip-epochs", "n-guesses", "n-layers", "workers", "seed", "bool-n-layers",
-         "state-dim"],
+         "state-dim", "master-seed", "bool-master-seed"],
 )
 def test_non_integer_count_names_its_field(call, message):
     # each used to be accepted, then fail later with a message naming no field
@@ -126,6 +139,12 @@ def test_negative_seed_names_its_field():
     # used to be accepted, then fail in numpy's generator naming no field
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         ReservoirConfig(4, 1, 10, seed=-1)
+
+
+def test_negative_master_seed_names_its_field():
+    # used to fail in SeedSequence, naming no field
+    with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+        _grid_with_master_seed(-1)
 
 
 def tiny_search(workers=1, grid=None, monkey=None):
