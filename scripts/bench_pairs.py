@@ -25,9 +25,9 @@ metrics on both sides; with fewer, the quartiles are null and `gain` is
 false. It also gets every run's metrics, each side's failed/attempted
 operation counts, `benchmark_identical`: whether BENCHMARK.json and
 perfbench/ in the working tree equal the parent's, with no untracked
-file under them, without which no claim holds, and `src_lines`: the
-line count of src/deepesn/*.py on each side, the code size beside the
-speed.
+file under them, without which no claim holds, `src_lines_by_file`:
+the line count of each src/deepesn/*.py on each side, and `src_lines`:
+each side's total, the code size beside the speed.
 """
 
 from __future__ import annotations
@@ -86,13 +86,19 @@ def unpack(root: str, revision: str, dest: str) -> None:
         tar.extractall(dest)
 
 
-def src_lines(root: str) -> int:
-    """Lines of src/deepesn/*.py under `root`, counted as `wc -l` counts them."""
-    total = 0
-    for path in glob.glob(os.path.join(root, "src", "deepesn", "*.py")):
+def src_lines_by_file(root: str) -> dict:
+    """Lines of each src/deepesn/*.py under `root` by file name, counted as
+    `wc -l` counts them."""
+    lines = {}
+    for path in sorted(glob.glob(os.path.join(root, "src", "deepesn", "*.py"))):
         with open(path, "rb") as fh:
-            total += fh.read().count(b"\n")
-    return total
+            lines[os.path.basename(path)] = fh.read().count(b"\n")
+    return lines
+
+
+def src_lines(root: str) -> int:
+    """Lines of src/deepesn/*.py under `root`: the sum of `src_lines_by_file`."""
+    return sum(src_lines_by_file(root).values())
 
 
 def run_once(root: str, workload: str, seed: int) -> dict:
@@ -199,7 +205,7 @@ def main(argv=None) -> int:
     try:
         unpack(root, parent_rev, tmp)
         sides = {"parent": tmp, "change": root}
-        lines = {side: src_lines(path) for side, path in sides.items()}
+        by_file = {side: src_lines_by_file(path) for side, path in sides.items()}
         workloads = {}
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
@@ -224,7 +230,8 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "change": git(root, "rev-parse", "HEAD") + ("+working-tree" if dirty else ""),
         "benchmark_identical": identical,
-        "src_lines": lines,
+        "src_lines": {side: sum(lines.values()) for side, lines in by_file.items()},
+        "src_lines_by_file": by_file,
         "command": f"perfbench/run.py --workload W --seed i --seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
         "order": "parent first on even seeds, change first on odd seeds",

@@ -18,7 +18,7 @@ import numpy as np
 from .data import SPLIT_NAMES, PianoRollDataset, next_step_pairs
 from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
-from .metrics import FrameCounts, frame_counts
+from .metrics import accuracy, pooled_accuracy
 from .readout import RidgeAccumulator, RidgeReadout, _check_ridge
 from .reservoir import ReservoirConfig, _check_count, init_deep_reservoir, run_layers
 
@@ -92,39 +92,27 @@ def _collect(reservoir, splits, washout):
     return run_layers(reservoir, drives), targets
 
 
-def _best(pairs, thresholds) -> tuple[float, float]:
-    """The best threshold on (continuous, target) pairs, and its pooled accuracy.
-
-    A value at or above a threshold is on, as `binarize` has it, and a
-    NaN is never on. Ties go to the first threshold.
-    """
-    totals = [FrameCounts()] * len(thresholds)
-    for continuous, target in pairs:
-        for i, threshold in enumerate(thresholds):
-            totals[i] += frame_counts(continuous >= threshold, target)
-    best = max(range(len(totals)), key=lambda i: totals[i].accuracy)
-    return thresholds[best], totals[best].accuracy
-
-
 def evaluate_readout(readout: RidgeReadout, pairs) -> float:
-    """Pooled frame-level accuracy of a readout over (states, targets),
-    predicted sequence by sequence, as `choose_threshold` predicts."""
-    continuous = ((readout.predict_continuous(s), t) for s, t in pairs)
-    return _best(continuous, (readout.threshold,))[1]
+    """`metrics.pooled_accuracy` of a readout's predictions over (states,
+    targets), predicted sequence by sequence, as `choose_threshold` does."""
+    return pooled_accuracy((readout.predict(s), t) for s, t in pairs)
 
 
-def choose_threshold(weights: np.ndarray, pairs, grid=THRESHOLD_GRID) -> float:
-    """Pick the threshold with the best pooled accuracy on `pairs`.
+def choose_threshold(weights: np.ndarray, pairs) -> float:
+    """The `THRESHOLD_GRID` entry with the best pooled accuracy on `pairs`.
 
     Continuous predictions are computed once, one product per sequence,
-    and binarized per candidate. Ties go to the smallest threshold.
+    and binarized per candidate; ties go to the smallest threshold.
     `sweep_ridges` multiplies all sequences at once, which gives the same
     bits only past about 100 rows per sequence; on shorter ones a score
     can differ where an output lies within rounding of a threshold.
     """
     readout = RidgeReadout(weights)
-    continuous = ((readout.predict_continuous(s), t) for s, t in pairs)
-    return _best(continuous, tuple(grid))[0]
+    continuous = [(readout.predict_continuous(s), t) for s, t in pairs]
+    return max(
+        THRESHOLD_GRID,
+        key=lambda c: pooled_accuracy((out >= c, t) for out, t in continuous),
+    )
 
 
 def _prepare(dataset, config, ip, washout):
@@ -187,12 +175,12 @@ def sweep_ridges(
 
     States depend on the reservoir but not on the regularizer, so the
     expensive collection happens once. Every ridge is solved, and the
-    accumulator dropped, before any is scored: by one product of the
-    packed states into one reused buffer, whose washout rows are set to
-    NaN, which no threshold counts. Each result reports the standalone
-    cost of its trial: shared time plus its own solve and scoring time.
-    `config.input_dim`, `ridges`, `washout` and `threshold` are checked
-    before any work.
+    accumulator dropped, before any is scored: its readout's
+    `predict_continuous` of the packed states of all splits, with washout
+    rows set to NaN, which no threshold counts, and `metrics.accuracy` of
+    each split. Each result reports the standalone cost of its trial:
+    shared time plus its own solve and scoring time. `config.input_dim`,
+    `ridges`, `washout` and `threshold` are checked before any work.
     """
     if config.input_dim != dataset.dim:
         raise ValueError(
@@ -212,18 +200,19 @@ def sweep_ridges(
     solved = []
     for ridge in ridges:
         start = time.perf_counter()
-        solved.append((accumulator.solve(ridge).weights, time.perf_counter() - start))
+        solved.append((accumulator.solve(ridge), time.perf_counter() - start))
     del accumulator  # its Gram and working array are not needed to score
-    outputs = np.empty(on.shape)
     results = []
-    for weights, solve_seconds in solved:
+    for readout, solve_seconds in solved:
         start = time.perf_counter()
-        np.matmul(packed, weights[:-1], out=outputs)
-        outputs += weights[-1]
+        outputs = readout.predict_continuous(packed)
         outputs[washed] = np.nan
-        splits = [[(outputs[a:b], on[a:b])] for a, b in ranges]
-        chosen = _best(splits[1], THRESHOLD_GRID)[0] if tune_threshold else threshold
-        train, valid, test = (_best(pairs, (chosen,))[1] for pairs in splits)
+        splits = [(outputs[a:b], on[a:b]) for a, b in ranges]
+        chosen = threshold
+        if tune_threshold:
+            out, target = splits[1]
+            chosen = max(THRESHOLD_GRID, key=lambda c: accuracy(out >= c, target))
+        train, valid, test = (accuracy(out >= chosen, t) for out, t in splits)
         seconds = shared + solve_seconds + time.perf_counter() - start
         results.append(TrialResult(train, valid, test, chosen, seconds))
     return results

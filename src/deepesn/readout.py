@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm, dsyrk
 
-from .reservoir import _check_count
+from .reservoir import _check_count, _check_rows
 
 logger = logging.getLogger(__name__)
 
@@ -105,12 +105,8 @@ class RidgeAccumulator:
         design matrix, and the state block by one in-place symmetric
         rank-T update of its upper triangle.
         """
-        states = np.asarray(states, dtype=float)
+        states = _check_rows("states", states, self.state_dim)
         targets = np.asarray(targets, dtype=float)
-        if states.ndim != 2 or states.shape[1] != self.state_dim:
-            raise ValueError(
-                f"states must have shape (T, {self.state_dim}), got {states.shape}"
-            )
         if targets.shape != (states.shape[0], self.output_dim):
             raise ValueError(
                 f"targets must have shape ({states.shape[0]}, {self.output_dim}), "
@@ -179,11 +175,7 @@ class RidgeReadout:
 
     def predict_continuous(self, states: np.ndarray) -> np.ndarray:
         """Affine outputs before binarization, shape (T, output_dim)."""
-        states = np.asarray(states, dtype=float)
-        if states.ndim != 2 or states.shape[1] != self.state_dim:
-            raise ValueError(
-                f"states must have shape (T, {self.state_dim}), got {states.shape}"
-            )
+        states = _check_rows("states", states, self.state_dim)
         return states @ self.weights[:-1] + self.weights[-1]
 
     def predict(self, states: np.ndarray) -> np.ndarray:

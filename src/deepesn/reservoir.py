@@ -54,6 +54,14 @@ def _check_count(name: str, value, minimum: int) -> int:
     return value
 
 
+def _check_rows(name: str, array, width: int) -> np.ndarray:
+    """`array` as a float (T, width) array, or a ValueError."""
+    array = np.asarray(array, dtype=float)
+    if array.ndim != 2 or array.shape[1] != width:
+        raise ValueError(f"{name} must have shape (T, {width}), got {array.shape}")
+    return array
+
+
 @dataclass(frozen=True)
 class ReservoirConfig:
     """Architecture and initialization parameters for a deep reservoir.
@@ -382,20 +390,9 @@ def init_deep_reservoir(config: ReservoirConfig) -> DeepReservoir:
     return DeepReservoir(config=config, layers=layers)
 
 
-def _checked_inputs(reservoir, inputs) -> np.ndarray:
-    """`inputs` as a float (T, input_dim) array, or a ValueError."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != reservoir.config.input_dim:
-        raise ValueError(
-            f"inputs must have shape (T, {reservoir.config.input_dim}), "
-            f"got {inputs.shape}"
-        )
-    return inputs
-
-
 def _checked(reservoir, sequences, states):
     """The checked sequences and one start state per layer, rest if None."""
-    sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
+    sequences = [_check_rows("inputs", x, reservoir.config.input_dim) for x in sequences]
     if states is None:
         states = reservoir.initial_states()
     shapes = [np.shape(state) for state in states]
@@ -542,7 +539,7 @@ def run_online(reservoir, sequences, on_step) -> None:
     are the layers' own, and the next wave reads them. Every sequence is
     checked before any runs.
     """
-    sequences = [_checked_inputs(reservoir, inputs) for inputs in sequences]
+    sequences = [_check_rows("inputs", x, reservoir.config.input_dim) for x in sequences]
     stacks = reservoir._weight_stacks()
     states = np.empty_like(stacks.gain[:, None])
     for inputs in sequences:
@@ -585,7 +582,7 @@ def run_sequence(
     steps are computed but not returned. `initial_states`, one per
     layer, replaces the rest state.
     """
-    inputs = _checked_inputs(reservoir, inputs)
+    inputs = _check_rows("inputs", inputs, reservoir.config.input_dim)
     if _check_count("washout", washout, 0) > inputs.shape[0]:
         raise ValueError(
             f"washout {washout} out of range for a {inputs.shape[0]}-step sequence"

@@ -270,6 +270,12 @@ def grid_search(
     return SelectionResult(trials=trials, best=_select_best(trials))
 
 
+def _check_counts(**counts) -> None:
+    """Raise unless every named count is an integer >= 1."""
+    for name, count in counts.items():
+        _check_count(name, count, 1)
+
+
 def deep_trained_parameters(
     output_dim: int, n_layers: int, units_per_layer: int
 ) -> int:
@@ -279,41 +285,48 @@ def deep_trained_parameters(
     adaptation trains one gain and one bias per unit. Reservoir weights
     are fixed and not counted.
     """
+    _check_counts(
+        output_dim=output_dim, n_layers=n_layers, units_per_layer=units_per_layer
+    )
     total_units = n_layers * units_per_layer
     return output_dim * (total_units + 1) + 2 * total_units
 
 
+def _rnn_parameters(blocks, input_dim, output_dim, units) -> int:
+    """`blocks` blocks of input, recurrent and bias weights, plus readout."""
+    _check_counts(input_dim=input_dim, output_dim=output_dim, units=units)
+    block = input_dim * units + units * units + units
+    return blocks * block + output_dim * (units + 1)
+
+
 def srn_parameters(input_dim: int, output_dim: int, units: int) -> int:
     """Trained parameters of a simple recurrent network."""
-    return (
-        input_dim * units + units * units + units + output_dim * (units + 1)
-    )
+    return _rnn_parameters(1, input_dim, output_dim, units)
 
 
 def lstm_parameters(input_dim: int, output_dim: int, units: int) -> int:
     """Trained parameters of an LSTM: four gated blocks plus readout."""
-    return 4 * (input_dim * units + units * units + units) + output_dim * (
-        units + 1
-    )
+    return _rnn_parameters(4, input_dim, output_dim, units)
 
 
 def gru_parameters(input_dim: int, output_dim: int, units: int) -> int:
     """Trained parameters of a GRU: three gated blocks plus readout."""
-    return 3 * (input_dim * units + units * units + units) + output_dim * (
-        units + 1
-    )
+    return _rnn_parameters(3, input_dim, output_dim, units)
 
 
 def units_for_budget(param_fn, budget: int) -> int:
     """Largest unit count whose parameter total stays within `budget`.
 
     `param_fn` maps a unit count to a parameter total and must be
-    nondecreasing; the search doubles, then halves the interval.
+    nondecreasing; the search doubles, then halves the interval. A
+    `param_fn` still within the budget past 2**62 units is a ValueError.
     """
     if param_fn(1) > budget:
         raise ValueError(f"budget {budget} is below the one-unit size {param_fn(1)}")
     hi = 1
     while param_fn(hi) <= budget:
+        if hi > 2**62:
+            raise ValueError(f"param_fn stays within budget {budget} past 2**62 units")
         hi *= 2
     lo = hi // 2  # param_fn(lo) <= budget < param_fn(hi)
     while hi - lo > 1:

@@ -125,6 +125,19 @@ def test_src_lines_of_parent_and_working_tree(bench_pairs, tmp_path):
     assert bench_pairs.src_lines(str(repo)) == 3
 
 
+def test_src_lines_by_file_sum_to_src_lines(bench_pairs, tmp_path):
+    package = tmp_path / "src" / "deepesn"
+    package.mkdir(parents=True)
+    (package / "b.py").write_text("a\nb\nc\n")
+    (package / "a.py").write_text("e\nf")  # no final newline, as wc -l counts
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "other.py").write_text("not\ncounted\n")
+    by_file = bench_pairs.src_lines_by_file(str(tmp_path))
+    assert by_file == {"a.py": 1, "b.py": 3}
+    assert list(by_file) == ["a.py", "b.py"]
+    assert bench_pairs.src_lines(str(tmp_path)) == 4
+
+
 def test_benchmark_identical(bench_pairs, tmp_path):
     git = git_in(tmp_path)
 

@@ -1,0 +1,43 @@
+"""The benchmark's phase-by-phase path, run against the library.
+
+Under `--trace 1`, perfbench/worker.py runs one cell through the public
+calls one at a time (`collect_pairs`, `RidgeAccumulator`,
+`choose_threshold`, `evaluate_readout`) and requires the rows that
+`sweep_ridges` gives. Running that path here shows a change to those
+calls in the test suite. Nothing under perfbench/ is written.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+from deepesn import ReservoirConfig, make_synthetic_dataset, sweep_ridges
+
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"
+)
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(PERFBENCH)
+    path = os.path.join(PERFBENCH, "worker.py")
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_phases_equals_sweep_ridges(worker):
+    ds = make_synthetic_dataset(seed=0)
+    cfg = ReservoirConfig(ds.dim, 3, 20, leaky_rate=0.5, connectivity=0.2, seed=1)
+    reservoir, _, rows = worker.run_phases(worker.Tracer("t"), ds, cfg)
+    results = sweep_ridges(
+        ds, cfg, worker.RIDGES, ip=worker.ip_config(), tune_threshold=True
+    )
+    assert rows == worker.cell_outputs(results)
+    inputs = ds.dense("train")[0][:-1]
+    assert worker.probe_layer_steps(worker.Tracer("t"), reservoir, inputs)[2] is True

@@ -44,6 +44,39 @@ class TestParameterCounts:
         with pytest.raises(ValueError):
             units_for_budget(lambda n: srn_parameters(88, 88, n), 10)
 
+    @pytest.mark.parametrize(
+        "counter, names",
+        [
+            (deep_trained_parameters, ("output_dim", "n_layers", "units_per_layer")),
+            (srn_parameters, ("input_dim", "output_dim", "units")),
+            (lstm_parameters, ("input_dim", "output_dim", "units")),
+            (gru_parameters, ("input_dim", "output_dim", "units")),
+        ],
+    )
+    def test_counters_reject_zero_and_boolean_counts(self, counter, names):
+        for i, name in enumerate(names):
+            counts = [88, 3, 100]
+            counts[i] = 0
+            with pytest.raises(ValueError, match=rf"{name} must be >= 1, got 0"):
+                counter(*counts)
+            counts[i] = True
+            with pytest.raises(TypeError, match=rf"{name} must be an integer"):
+                counter(*counts)
+
+    def test_units_for_budget_rejects_flat_param_fn(self):
+        calls = []
+
+        def flat(units):
+            calls.append(units)
+            assert len(calls) <= 200, "units_for_budget did not stop"
+            return 88
+
+        with pytest.raises(ValueError, match="budget 1000"):
+            units_for_budget(flat, 1000)
+        # the previously unbounded case: a deep model with no layers
+        with pytest.raises(ValueError, match="n_layers must be >= 1"):
+            units_for_budget(lambda u: deep_trained_parameters(88, 0, u), 1000)
+
 
 class TestSeeds:
     def test_frozen_derivations(self):
