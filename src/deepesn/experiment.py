@@ -201,7 +201,7 @@ def sweep_ridges(
     for ridge in ridges:
         start = time.perf_counter()
         solved.append((accumulator.solve(ridge), time.perf_counter() - start))
-    del accumulator  # its Gram and working array are not needed to score
+    del accumulator  # its (d + 1)^2 buffer is not needed to score
     results = []
     for readout, solve_seconds in solved:
         start = time.perf_counter()

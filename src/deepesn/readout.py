@@ -36,26 +36,26 @@ def ridge_solve(xtx: np.ndarray, xty: np.ndarray, ridge: float) -> np.ndarray:
 
 
 def _solve(build, xty: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve the system whose Fortran-order copy of X^T X `build()` returns.
+    """Solve the system whose X^T X `build()` returns in Fortran order.
 
-    The copy's upper triangle is all that is read. It gets the ridge on
-    its diagonal and is factorized in place, so the solve holds one n^2
-    working array. If the Cholesky factorization fails, `build()` runs
-    again and a least-squares solve runs on its result made full and
-    symmetric.
+    The array's upper triangle is all that is read. It gets the ridge on
+    its diagonal and is factorized in place, so the solve makes no n^2
+    array beyond the finiteness checks' masks. If the Cholesky
+    factorization fails, `build()` runs again and a least-squares solve
+    runs on its result with the upper triangle mirrored into the lower.
     """
     _check_ridge(ridge)
+    a = build()
+    a.flat[:: len(a) + 1] += ridge
     try:
-        factor = cho_factor(_add_ridge(build(), ridge), overwrite_a=True)
-        return cho_solve(factor, xty)
+        return cho_solve(cho_factor(a, overwrite_a=True), xty)
     except np.linalg.LinAlgError:
-        logger.warning(
-            "normal equations not positive definite at ridge=%g; "
-            "falling back to least squares",
-            ridge,
-        )
-        a = _symmetric(_add_ridge(build(), ridge))
-        return np.linalg.lstsq(a, xty, rcond=None)[0]
+        logger.warning("normal equations not positive definite at ridge=%g; "
+                       "falling back to least squares", ridge)
+    a = build()
+    a.flat[:: len(a) + 1] += ridge
+    _mirror_lower(a.T)
+    return np.linalg.lstsq(a, xty, rcond=None)[0]
 
 
 def _check_ridge(ridge: float) -> None:
@@ -64,14 +64,30 @@ def _check_ridge(ridge: float) -> None:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
 
 
-def _add_ridge(a: np.ndarray, ridge: float) -> np.ndarray:
-    a.flat[:: a.shape[0] + 1] += ridge
-    return a
+# side of the tiles that the in-place copies below move at once
+_TILE = 128
+_STRICT_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
 
 
-def _symmetric(a: np.ndarray) -> np.ndarray:
-    """The full symmetric matrix that the upper triangle of `a` stands for."""
-    return np.triu(a) + np.triu(a, 1).T
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of square `a` onto its strict upper."""
+    n = len(a)
+    for j0 in range(0, n, _TILE):
+        j1 = min(j0 + _TILE, n)
+        for i0 in range(0, j0, _TILE):
+            a[i0 : i0 + _TILE, j0:j1] = a[j0:j1, i0 : i0 + _TILE].T
+        block = a[j0:j1, j0:j1]
+        np.copyto(block, block.T, where=_STRICT_UPPER[: j1 - j0, : j1 - j0])
+
+
+def _move_columns(buf: np.ndarray, d: int, widen: bool) -> None:
+    """Move rows 0..j of each column j < d of `buf` from offset j*d to j*(d+1)
+    (`widen`) or back, in an order that overwrites no column still to move."""
+    starts = range(0, d, _TILE)
+    for j0 in reversed(starts) if widen else starts:
+        j1 = min(j0 + _TILE, d)
+        narrow, wide = (buf[j0 * n : j1 * n].reshape(-1, n)[:, :j1] for n in (d, d + 1))
+        np.copyto(*((wide, narrow) if widen else (narrow, wide)))
 
 
 def binarize(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -85,25 +101,34 @@ class RidgeAccumulator:
     Feature vectors are reservoir states of length `state_dim` with an
     implicit constant 1 appended, so the solved weights carry an output
     bias in their last row.
+
+    X^T X lives in one (state_dim + 1)^2 buffer. `add` updates the upper
+    triangle of the Fortran-order Gram in its front. The first solve after
+    it widens that to the system, mirrors it into the strict lower triangle,
+    which Cholesky never writes, and keeps the diagonal aside, to restore
+    the upper triangle from for each later solve or add.
     """
 
     def __init__(self, state_dim: int, output_dim: int):
         self.state_dim = _check_count("state_dim", state_dim, 1)
         self.output_dim = _check_count("output_dim", output_dim, 1)
+        d = state_dim
+        self._buf = np.zeros((d + 1) ** 2)
+        self._square = self._buf.reshape((d + 1, d + 1), order="F")
         # upper triangle of the state block of X^T X, updated in place
-        self._gram = np.zeros((state_dim, state_dim), order="F")
+        self._gram = self._buf[: d * d].reshape((d, d), order="F")
         self._col_sums = np.zeros(state_dim)
         self.xty = np.zeros((state_dim + 1, output_dim))
         self.n_samples = 0
-        self._work = None
+        self._diag = None  # the system's diagonal, while the buffer holds it
 
     def add(self, states: np.ndarray, targets: np.ndarray) -> None:
         """Accumulate a batch of (state, target) rows.
 
-        `states` has shape (T, state_dim) and `targets` (T, output_dim).
-        The bias blocks are updated without materializing the augmented
-        design matrix, and the state block by one in-place symmetric
-        rank-T update of its upper triangle.
+        `states` has shape (T, state_dim) and `targets` (T, output_dim),
+        and both must be finite. The bias blocks are updated without
+        materializing the augmented design matrix, and the state block by
+        one in-place symmetric rank-T update of its upper triangle.
         """
         states = _check_rows("states", states, self.state_dim)
         targets = np.asarray(targets, dtype=float)
@@ -112,7 +137,15 @@ class RidgeAccumulator:
                 f"targets must have shape ({states.shape[0]}, {self.output_dim}), "
                 f"got {targets.shape}"
             )
+        sums = states.sum(axis=0), targets.sum(axis=0)
+        for name, array, total in zip(("states", "targets"), (states, targets), sums):
+            if not np.isfinite(total).all() and not np.isfinite(array).all():
+                raise ValueError(f"{name} must be finite")  # not just overflow
         d = self.state_dim
+        if self._diag is not None:
+            self._system()  # restores the upper triangle and the diagonal
+            _move_columns(self._buf, d, widen=False)
+            self._diag = None
         # Both products go to scipy's BLAS, in place: c is float64 and
         # F-contiguous, so f2py makes no copy of it. Switching between
         # numpy's and scipy's BLAS thread pools on every batch costs more
@@ -120,29 +153,28 @@ class RidgeAccumulator:
         dsyrk(1.0, states.T, beta=1.0, c=self._gram, lower=0, overwrite_c=1)
         dgemm(1.0, targets.T, states.T, beta=1.0, c=self.xty[:d].T, trans_b=1,
               overwrite_c=1)
-        self._col_sums += states.sum(axis=0)
-        self.xty[d] += targets.sum(axis=0)
+        self._col_sums += sums[0]
+        self.xty[d] += sums[1]
         self.n_samples += states.shape[0]
 
     @property
     def xtx(self) -> np.ndarray:
         """The accumulated X^T X as a new full symmetric array."""
-        return _symmetric(self._system())
+        return self._system().copy()
 
     def _system(self) -> np.ndarray:
-        """X^T X in the accumulator's Fortran-order working array.
-
-        The array is allocated on the first call and refilled in place on
-        every later one, so each ridge's solve reuses pages already
-        touched. Only its upper triangle is exact, and only that is read.
-        """
-        d = self.state_dim
-        if self._work is None:
-            self._work = np.zeros((d + 1, d + 1), order="F")
-        a = self._work
-        a[:d, :d] = self._gram
-        a[:d, d] = self._col_sums
-        a[d, d] = self.n_samples
+        """X^T X, symmetric, as the buffer's (d + 1)^2 Fortran-order view:
+        laid out from the Gram after an add, else restored from the mirror."""
+        a, d = self._square, self.state_dim
+        if self._diag is None:
+            _move_columns(self._buf, d, widen=True)
+            a[:d, d] = self._col_sums
+            a[d, d] = self.n_samples
+            self._diag = a.diagonal().copy()
+            _mirror_lower(a.T)
+        else:
+            _mirror_lower(a)
+            a.flat[:: d + 2] = self._diag
         return a
 
     def solve(self, ridge: float, threshold: float = 0.5) -> "RidgeReadout":
