@@ -64,7 +64,7 @@ def _check_ridge(ridge: float) -> None:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
 
 
-# side of the tiles that the in-place copies below move at once
+# side of the tiles that the in-place copy below moves at once
 _TILE = 128
 _STRICT_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
 
@@ -80,16 +80,6 @@ def _mirror_lower(a: np.ndarray) -> None:
         np.copyto(block, block.T, where=_STRICT_UPPER[: j1 - j0, : j1 - j0])
 
 
-def _move_columns(buf: np.ndarray, d: int, widen: bool) -> None:
-    """Move rows 0..j of each column j < d of `buf` from offset j*d to j*(d+1)
-    (`widen`) or back, in an order that overwrites no column still to move."""
-    starts = range(0, d, _TILE)
-    for j0 in reversed(starts) if widen else starts:
-        j1 = min(j0 + _TILE, d)
-        narrow, wide = (buf[j0 * n : j1 * n].reshape(-1, n)[:, :j1] for n in (d, d + 1))
-        np.copyto(*((wide, narrow) if widen else (narrow, wide)))
-
-
 def binarize(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Map continuous outputs to {0, 1}; values at the threshold are on."""
     return (np.asarray(values) >= threshold).astype(np.int8)
@@ -102,33 +92,30 @@ class RidgeAccumulator:
     implicit constant 1 appended, so the solved weights carry an output
     bias in their last row.
 
-    X^T X lives in one (state_dim + 1)^2 buffer. `add` updates the upper
-    triangle of the Fortran-order Gram in its front. The first solve after
-    it widens that to the system, mirrors it into the strict lower triangle,
-    which Cholesky never writes, and keeps the diagonal aside, to restore
-    the upper triangle from for each later solve or add.
+    X^T X lives in one Fortran-order (state_dim + 1)^2 array, always laid
+    out as the system. `add` updates its upper triangle. The first solve
+    after an add mirrors that into the strict lower triangle, which
+    Cholesky never writes, and keeps the diagonal aside, to restore the
+    upper triangle from for each later solve or add.
     """
 
     def __init__(self, state_dim: int, output_dim: int):
         self.state_dim = _check_count("state_dim", state_dim, 1)
         self.output_dim = _check_count("output_dim", output_dim, 1)
-        d = state_dim
-        self._buf = np.zeros((d + 1) ** 2)
-        self._square = self._buf.reshape((d + 1, d + 1), order="F")
-        # upper triangle of the state block of X^T X, updated in place
-        self._gram = self._buf[: d * d].reshape((d, d), order="F")
-        self._col_sums = np.zeros(state_dim)
+        self._square = np.zeros((state_dim + 1, state_dim + 1), order="F")
         self.xty = np.zeros((state_dim + 1, output_dim))
         self.n_samples = 0
-        self._diag = None  # the system's diagonal, while the buffer holds it
+        self._diag = None  # the system's diagonal, while the mirror holds it
 
     def add(self, states: np.ndarray, targets: np.ndarray) -> None:
         """Accumulate a batch of (state, target) rows.
 
         `states` has shape (T, state_dim) and `targets` (T, output_dim),
-        and both must be finite. The bias blocks are updated without
-        materializing the augmented design matrix, and the state block by
-        one in-place symmetric rank-T update of its upper triangle.
+        and both must be finite. One in-place symmetric rank-T update adds
+        the batch, copied once beside a zero column, to the whole upper
+        triangle. Zeros add exactly, so the state block keeps the bits of
+        an update by the states alone; the bias column then gets the
+        column sums, which a column of ones would round differently.
         """
         states = _check_rows("states", states, self.state_dim)
         targets = np.asarray(targets, dtype=float)
@@ -137,25 +124,28 @@ class RidgeAccumulator:
                 f"targets must have shape ({states.shape[0]}, {self.output_dim}), "
                 f"got {targets.shape}"
             )
-        sums = states.sum(axis=0), targets.sum(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = states.sum(axis=0), targets.sum(axis=0)
         for name, array, total in zip(("states", "targets"), (states, targets), sums):
             if not np.isfinite(total).all() and not np.isfinite(array).all():
                 raise ValueError(f"{name} must be finite")  # not just overflow
-        d = self.state_dim
+        a, d = self._square, self.state_dim
         if self._diag is not None:
             self._system()  # restores the upper triangle and the diagonal
-            _move_columns(self._buf, d, widen=False)
             self._diag = None
+        padded = np.zeros((states.shape[0], d + 1))
+        padded[:, :d] = states
         # Both products go to scipy's BLAS, in place: c is float64 and
         # F-contiguous, so f2py makes no copy of it. Switching between
         # numpy's and scipy's BLAS thread pools on every batch costs more
         # than the products at a few hundred features.
-        dsyrk(1.0, states.T, beta=1.0, c=self._gram, lower=0, overwrite_c=1)
+        dsyrk(1.0, padded.T, beta=1.0, c=a, lower=0, overwrite_c=1)
         dgemm(1.0, targets.T, states.T, beta=1.0, c=self.xty[:d].T, trans_b=1,
               overwrite_c=1)
-        self._col_sums += sums[0]
+        a[:d, d] += sums[0]
         self.xty[d] += sums[1]
         self.n_samples += states.shape[0]
+        a[d, d] = self.n_samples
 
     @property
     def xtx(self) -> np.ndarray:
@@ -163,18 +153,15 @@ class RidgeAccumulator:
         return self._system().copy()
 
     def _system(self) -> np.ndarray:
-        """X^T X, symmetric, as the buffer's (d + 1)^2 Fortran-order view:
-        laid out from the Gram after an add, else restored from the mirror."""
-        a, d = self._square, self.state_dim
+        """X^T X, symmetric, in the (d + 1)^2 Fortran-order array: mirrored
+        from the upper triangle after an add, else restored from the mirror."""
+        a = self._square
         if self._diag is None:
-            _move_columns(self._buf, d, widen=True)
-            a[:d, d] = self._col_sums
-            a[d, d] = self.n_samples
             self._diag = a.diagonal().copy()
             _mirror_lower(a.T)
         else:
             _mirror_lower(a)
-            a.flat[:: d + 2] = self._diag
+            a.flat[:: len(a) + 1] = self._diag
         return a
 
     def solve(self, ridge: float, threshold: float = 0.5) -> "RidgeReadout":

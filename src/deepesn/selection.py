@@ -321,7 +321,7 @@ def units_for_budget(param_fn, budget: int) -> int:
     nondecreasing; the search doubles, then halves the interval. A
     `param_fn` still within the budget past 2**62 units is a ValueError.
     """
-    if param_fn(1) > budget:
+    if not param_fn(1) <= budget:
         raise ValueError(f"budget {budget} is below the one-unit size {param_fn(1)}")
     hi = 1
     while param_fn(hi) <= budget:

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,13 +116,15 @@ class TestAccumulatorOracle:
         # the copy, so the buffers held before `add` must carry the update
         rng = np.random.default_rng(4)
         acc = RidgeAccumulator(300, 2)
-        gram, xty = acc._gram, acc.xty
+        square, xty = acc._square, acc.xty
         states, targets = rng.random((50, 300)), rng.random((50, 2))
         acc.add(states, targets)
         want_xtx, want_xty = reference_blocks([(states, targets)])
         np.testing.assert_allclose(
-            np.triu(gram), np.triu(want_xtx[:300, :300]), rtol=self.RTOL
+            np.triu(square[:300, :300]), np.triu(want_xtx[:300, :300]),
+            rtol=self.RTOL,
         )
+        np.testing.assert_allclose(square[:, 300], want_xtx[:, 300], rtol=self.RTOL)
         np.testing.assert_allclose(xty, want_xty, rtol=self.RTOL)
 
     def test_ridge_solve_reads_upper_triangle(self):
@@ -194,7 +197,8 @@ class TestOneBufferLayout:
 
     @pytest.mark.parametrize("d", [1, 2, 127, 128, 129, 257, 300])
     def test_weights_and_xtx_equal_the_two_array_solve(self, d):
-        batches = self.batches(d, (40, 1, 90), d)
+        # the 500-row batch is longer than OpenBLAS's 384-row K block
+        batches = self.batches(d, (40, 1, 90, 500), d)
         acc = RidgeAccumulator(d, 3)
         for states, targets in batches:
             acc.add(states, targets)
@@ -388,20 +392,23 @@ class TestAccumulatorValidation:
         fresh.add(*second)
         assert np.array_equal(acc.solve(1e-3).weights, fresh.solve(1e-3).weights)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_nan_that_cancels_in_a_sum(self):
+        # the error is the only signal: the sum emits no RuntimeWarning first
         acc = RidgeAccumulator(2, 1)
         states = np.array([[np.inf, 1.0], [-np.inf, 1.0]])
-        with pytest.raises(ValueError, match="states must be finite"):
-            acc.add(states, np.ones((2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="states must be finite"):
+                acc.add(states, np.ones((2, 1)))
         assert acc.n_samples == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_accepts_finite_batch_whose_sums_overflow(self):
-        # every entry is finite, so the batch is taken; the Gram overflows,
-        # and the solve's own finiteness check reports it
+        # every entry is finite, so the batch is taken without a warning;
+        # the Gram overflows, and the solve's own finiteness check reports it
         acc = RidgeAccumulator(2, 1)
-        acc.add(np.full((2, 2), 1e308), np.ones((2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc.add(np.full((2, 2), 1e308), np.ones((2, 1)))
         assert acc.n_samples == 2
         with pytest.raises(ValueError, match="infs or NaNs"):
             acc.solve(1e-3)

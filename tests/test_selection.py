@@ -40,9 +40,10 @@ class TestParameterCounts:
         assert units_for_budget(fn, fn(652) - 1) == 651
         assert units_for_budget(fn, fn(653) - 1) == 652
 
-    def test_units_for_budget_rejects_tiny_budget(self):
+    @pytest.mark.parametrize("budget", [10, float("nan")])
+    def test_units_for_budget_rejects_tiny_budget(self, budget):
         with pytest.raises(ValueError):
-            units_for_budget(lambda n: srn_parameters(88, 88, n), 10)
+            units_for_budget(lambda n: srn_parameters(88, 88, n), budget)
 
     @pytest.mark.parametrize(
         "counter, names",
