@@ -6,6 +6,11 @@ feature appended to X) and grows them batch by batch. Solving for a
 given ridge strength is then a single symmetric solve, so sweeping
 several strengths reuses the same accumulated blocks. Predictions are
 affine maps of the state, binarized at a threshold for on/off targets.
+
+Every threaded BLAS or LAPACK call of the readout but the least-squares
+fallback (the SYRK, the GEMMs, the Cholesky solves) runs on scipy's
+OpenBLAS: numpy and scipy each ship their own, with its own thread
+pool, and waking both pools in one trial makes them compete for CPUs.
 """
 
 from __future__ import annotations
@@ -135,10 +140,7 @@ class RidgeAccumulator:
             self._diag = None
         padded = np.zeros((states.shape[0], d + 1))
         padded[:, :d] = states
-        # Both products go to scipy's BLAS, in place: c is float64 and
-        # F-contiguous, so f2py makes no copy of it. Switching between
-        # numpy's and scipy's BLAS thread pools on every batch costs more
-        # than the products at a few hundred features.
+        # c is float64 and F-contiguous, so f2py updates it in place.
         dsyrk(1.0, padded.T, beta=1.0, c=a, lower=0, overwrite_c=1)
         dgemm(1.0, targets.T, states.T, beta=1.0, c=self.xty[:d].T, trans_b=1,
               overwrite_c=1)
@@ -195,7 +197,11 @@ class RidgeReadout:
     def predict_continuous(self, states: np.ndarray) -> np.ndarray:
         """Affine outputs before binarization, shape (T, output_dim)."""
         states = _check_rows("states", states, self.state_dim)
-        return states @ self.weights[:-1] + self.weights[-1]
+        out = np.empty((states.shape[0], self.output_dim))
+        if out.size:  # scipy's dgemm refuses an empty product
+            dgemm(1.0, self.weights[:-1].T, states.T, c=out.T, overwrite_c=1)
+        out += self.weights[-1]
+        return out
 
     def predict(self, states: np.ndarray) -> np.ndarray:
         """Binary outputs, thresholding the continuous predictions."""

@@ -438,6 +438,19 @@ class TestPrediction:
         )
         np.testing.assert_array_equal(readout.predict(states), [[1, 0]])
 
+    @pytest.mark.parametrize("d", [3, 0])
+    def test_zero_rows_give_an_empty_batch(self, d):
+        readout = RidgeReadout(weights=np.ones((d + 1, 2)))
+        out = readout.predict_continuous(np.zeros((0, d)))
+        assert out.shape == (0, 2) and out.dtype == float
+        assert readout.predict(np.zeros((0, d))).shape == (0, 2)
+
+    def test_zero_features_give_the_bias(self):
+        readout = RidgeReadout(weights=np.array([[0.25, -1.0]]))
+        np.testing.assert_array_equal(
+            readout.predict_continuous(np.zeros((3, 0))), [[0.25, -1.0]] * 3
+        )
+
     def test_predict_rejects_wrong_width(self):
         readout = RidgeReadout(weights=np.zeros((3, 1)))
         with pytest.raises(ValueError):
@@ -447,3 +460,43 @@ class TestPrediction:
         readout = RidgeReadout(weights=np.zeros((5, 2)))
         assert readout.state_dim == 4
         assert readout.output_dim == 2
+
+
+class TestPredictionOracle:
+    """`predict_continuous` against numpy's `states @ W[:-1] + W[-1]`.
+
+    The readout multiplies on scipy's dgemm, which sums every output in
+    numpy's order on long batches, so those rows are bit-equal. Short
+    batches may take another path on either side (numpy's GEMV for one
+    row, other kernels or another split among threads below about 90
+    rows), so there the two agree within the rounding bound of a
+    length-d dot product.
+    """
+
+    @staticmethod
+    def case(rows, d, order):
+        rng = np.random.default_rng(rows * 1000 + d)
+        states = np.tanh(rng.standard_normal((rows, d)))
+        weights = np.array(rng.standard_normal((d + 1, 88)) / d, order=order)
+        return states, RidgeReadout(weights=weights)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [60, 500])
+    @pytest.mark.parametrize("rows", [100, 2000])
+    def test_bit_equal_on_many_rows(self, rows, d, order):
+        states, readout = self.case(rows, d, order)
+        w = readout.weights
+        np.testing.assert_array_equal(
+            readout.predict_continuous(states), states @ w[:-1] + w[-1]
+        )
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [60, 500])
+    @pytest.mark.parametrize("rows", [1, 2, 8, 64])
+    def test_within_rounding_on_few_rows(self, rows, d, order):
+        states, readout = self.case(rows, d, order)
+        w = readout.weights
+        bound = d * np.finfo(float).eps * (np.abs(states) @ np.abs(w[:-1])
+                                           + np.abs(w[-1]))
+        error = np.abs(readout.predict_continuous(states) - (states @ w[:-1] + w[-1]))
+        assert (error <= bound).all()
