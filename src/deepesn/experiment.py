@@ -19,7 +19,7 @@ from .data import SPLIT_NAMES, PianoRollDataset, next_step_pairs
 from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
 from .metrics import accuracy, pooled_accuracy
-from .readout import RidgeAccumulator, RidgeReadout, _check_ridge
+from .readout import RidgeAccumulator, RidgeReadout, _blas_threads, _check_ridge
 from .reservoir import ReservoirConfig, _check_count, init_deep_reservoir, run_layers
 
 __all__ = [
@@ -179,7 +179,8 @@ def sweep_ridges(
     `predict_continuous` of the packed states of all splits, with washout
     rows set to NaN, which no threshold counts, and `metrics.accuracy` of
     each split. Each result reports the standalone cost of its trial:
-    shared time plus its own solve and scoring time. `config.input_dim`,
+    shared time plus its own solve and scoring time. Small states run
+    scipy's BLAS on one thread (`readout._blas_threads`). `config.input_dim`,
     `ridges`, `washout` and `threshold` are checked before any work.
     """
     if config.input_dim != dataset.dim:
@@ -194,25 +195,26 @@ def sweep_ridges(
     _check_count("washout", washout, 0)
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    start = time.perf_counter()
-    accumulator, packed, on, washed, ranges = _prepare(dataset, config, ip, washout)
-    shared = time.perf_counter() - start
-    solved = []
-    for ridge in ridges:
+    with _blas_threads(config.state_dim):
         start = time.perf_counter()
-        solved.append((accumulator.solve(ridge), time.perf_counter() - start))
-    del accumulator  # its (d + 1)^2 buffer is not needed to score
-    results = []
-    for readout, solve_seconds in solved:
-        start = time.perf_counter()
-        outputs = readout.predict_continuous(packed)
-        outputs[washed] = np.nan
-        splits = [(outputs[a:b], on[a:b]) for a, b in ranges]
-        chosen = threshold
-        if tune_threshold:
-            out, target = splits[1]
-            chosen = max(THRESHOLD_GRID, key=lambda c: accuracy(out >= c, target))
-        train, valid, test = (accuracy(out >= chosen, t) for out, t in splits)
-        seconds = shared + solve_seconds + time.perf_counter() - start
-        results.append(TrialResult(train, valid, test, chosen, seconds))
+        accumulator, packed, on, washed, ranges = _prepare(dataset, config, ip, washout)
+        shared = time.perf_counter() - start
+        solved = []
+        for ridge in ridges:
+            start = time.perf_counter()
+            solved.append((accumulator.solve(ridge), time.perf_counter() - start))
+        del accumulator  # its (d + 1)^2 buffer is not needed to score
+        results = []
+        for readout, solve_seconds in solved:
+            start = time.perf_counter()
+            outputs = readout.predict_continuous(packed)
+            outputs[washed] = np.nan
+            splits = [(outputs[a:b], on[a:b]) for a, b in ranges]
+            chosen = threshold
+            if tune_threshold:
+                out, target = splits[1]
+                chosen = max(THRESHOLD_GRID, key=lambda c: accuracy(out >= c, target))
+            train, valid, test = (accuracy(out >= chosen, t) for out, t in splits)
+            seconds = shared + solve_seconds + time.perf_counter() - start
+            results.append(TrialResult(train, valid, test, chosen, seconds))
     return results

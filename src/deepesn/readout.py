@@ -11,16 +11,20 @@ Every threaded BLAS or LAPACK call of the readout but the least-squares
 fallback (the SYRK, the GEMMs, the Cholesky solves) runs on scipy's
 OpenBLAS: numpy and scipy each ship their own, with its own thread
 pool, and waking both pools in one trial makes them compete for CPUs.
+`sweep_ridges` runs them on one thread for up to `_ONE_THREAD_MAX_DIM`
+features (see `_blas_threads`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cython_blas
 from scipy.linalg.blas import dgemm, dsyrk
 
 from .reservoir import _check_count, _check_rows
@@ -28,6 +32,50 @@ from .reservoir import _check_count, _check_rows
 logger = logging.getLogger(__name__)
 
 __all__ = ["RidgeAccumulator", "RidgeReadout", "ridge_solve", "binarize"]
+
+# Widest state for which `_blas_threads` runs scipy's BLAS on one thread.
+_ONE_THREAD_MAX_DIM = 1000
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of scipy's OpenBLAS, or None when
+    scipy's BLAS is another library or does not export them."""
+    try:
+        lib = ctypes.CDLL(cython_blas.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        get = getattr(lib, f"{prefix}_get_num_threads", None)
+        put = getattr(lib, f"{prefix}_set_num_threads", None)
+        if get is not None and put is not None:
+            return get, put
+    return None
+
+
+_THREADS = _openblas_threads()
+
+
+@contextmanager
+def _blas_threads(dim: int):
+    """Run scipy's BLAS on one thread inside the block for states of up to
+    `_ONE_THREAD_MAX_DIM` features, then restore its thread count.
+
+    A second thread saves little at those widths, and after each call it
+    spins on a CPU for a while, so any other busy process slows the
+    single-threaded reservoir work that follows: on 2 CPUs, one busy
+    process took a 500-feature grid item from 0.12 to 0.22 s with two
+    threads, while with one it stayed at 0.12 s.
+    """
+    if _THREADS is None or dim > _ONE_THREAD_MAX_DIM:
+        yield
+        return
+    get, put = _THREADS
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
 
 
 def ridge_solve(xtx: np.ndarray, xty: np.ndarray, ridge: float) -> np.ndarray:

@@ -21,6 +21,7 @@ from deepesn.experiment import (
 )
 from deepesn.ip import IpConfig, pretrain_ip
 from deepesn.metrics import pooled_accuracy
+from deepesn import readout as readout_module
 from deepesn.readout import RidgeAccumulator, binarize
 from deepesn.reservoir import (
     ReservoirConfig,
@@ -224,6 +225,24 @@ class TestSweepRidges:
             assert result.train_acc == single.train_acc
             assert result.valid_acc == single.valid_acc
             assert result.test_acc == single.test_acc
+
+    @pytest.mark.skipif(
+        readout_module._THREADS is None, reason="no OpenBLAS thread count to set"
+    )
+    def test_small_states_solve_on_one_blas_thread(self, monkeypatch):
+        get, put = readout_module._THREADS
+        seen, factor = [], readout_module.cho_factor
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(readout_module, "cho_factor", spy)
+        ds = make_synthetic_dataset(seed=4)
+        before = get()
+        sweep_ridges(ds, small_config(ds.dim), (1e-3, 1e-1))
+        assert seen == [1, 1]
+        assert get() == before
 
     def test_each_trial_reports_full_cost(self):
         ds = make_synthetic_dataset(seed=4)

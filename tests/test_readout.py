@@ -422,6 +422,27 @@ class TestAccumulatorValidation:
             RidgeAccumulator(0, 2)
 
 
+@pytest.mark.skipif(
+    readout_module._THREADS is None, reason="no OpenBLAS thread count to set"
+)
+class TestBlasThreads:
+    def test_one_thread_up_to_the_width_then_restored(self):
+        get, put = readout_module._THREADS
+        widest = readout_module._ONE_THREAD_MAX_DIM
+        before = get()
+        put(2)
+        try:
+            with pytest.raises(RuntimeError):
+                with readout_module._blas_threads(widest):
+                    assert get() == 1
+                    raise RuntimeError
+            assert get() == 2
+            with readout_module._blas_threads(widest + 1):
+                assert get() == 2
+        finally:
+            put(before)
+
+
 class TestPrediction:
     def test_binarize_threshold_inclusive(self):
         out = binarize(np.array([0.49, 0.5, 0.51]), 0.5)
