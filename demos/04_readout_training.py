@@ -3,7 +3,7 @@
 The only trained component of the model is a linear map from the global
 reservoir state to the next frame. This demo walks the full pipeline on
 a synthetic chord-cycle dataset: collect states, accumulate the normal
-equations, solve at a few ridge strengths, binarize, and score
+equations, solve at a few ridge strengths, threshold the outputs, and score
 frame-level accuracy on each split.
 """
 

@@ -24,8 +24,8 @@ from .errors import (
 from .experiment import TrialResult, run_model, sweep_ridges
 from .ip import IpConfig, activation_statistics, pretrain_ip
 from .linalg import operator_norm, spectral_radius
-from .metrics import accuracy, frame_counts, macro_accuracy, pooled_accuracy
-from .readout import RidgeAccumulator, RidgeReadout, binarize, ridge_solve
+from .metrics import accuracy, frame_counts
+from .readout import RidgeAccumulator, RidgeReadout, ridge_solve
 from .reservoir import (
     DeepReservoir,
     ReservoirConfig,
@@ -67,7 +67,6 @@ __all__ = [
     "TrialResult",
     "accuracy",
     "activation_statistics",
-    "binarize",
     "deep_trained_parameters",
     "effective_matrix",
     "frame_counts",
@@ -76,10 +75,8 @@ __all__ = [
     "init_deep_reservoir",
     "load_dataset",
     "lstm_parameters",
-    "macro_accuracy",
     "make_synthetic_dataset",
     "operator_norm",
-    "pooled_accuracy",
     "pretrain_ip",
     "ridge_solve",
     "run_model",

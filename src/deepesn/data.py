@@ -34,7 +34,6 @@ __all__ = [
     "load_dataset",
     "save_dataset",
     "to_dense",
-    "from_dense",
     "next_step_pairs",
     "make_synthetic_dataset",
 ]
@@ -154,14 +153,6 @@ def to_dense(sequence: list, dim: int) -> np.ndarray:
     for t, frame in enumerate(sequence):
         out[t, frame] = 1.0
     return out
-
-
-def from_dense(array: np.ndarray) -> list:
-    """Convert a (T, dim) array back to frames; nonzero counts as on."""
-    array = np.asarray(array)
-    if array.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {array.shape}")
-    return [np.flatnonzero(row).tolist() for row in array]
 
 
 def next_step_pairs(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import numpy as np
 from .data import SPLIT_NAMES, PianoRollDataset, next_step_pairs
 from .errors import ConfigError
 from .ip import IpConfig, pretrain_ip
-from .metrics import accuracy, pooled_accuracy
+from .metrics import accuracy
 from .readout import RidgeAccumulator, RidgeReadout, _blas_threads, _check_ridge
 from .reservoir import ReservoirConfig, _check_count, init_deep_reservoir, run_layers
 
@@ -93,26 +93,28 @@ def _collect(reservoir, splits, washout):
 
 
 def evaluate_readout(readout: RidgeReadout, pairs) -> float:
-    """`metrics.pooled_accuracy` of a readout's predictions over (states,
-    targets), predicted sequence by sequence, as `choose_threshold` does."""
-    return pooled_accuracy((readout.predict(s), t) for s, t in pairs)
+    """`metrics.accuracy` of a readout's predictions of all (states,
+    targets) pairs, scored with one product as `sweep_ridges` scores."""
+    outputs, targets = _predict_pairs(readout, pairs)
+    return accuracy(outputs >= readout.threshold, targets)
 
 
 def choose_threshold(weights: np.ndarray, pairs) -> float:
-    """The `THRESHOLD_GRID` entry with the best pooled accuracy on `pairs`.
+    """`sweep_ridges`' threshold rule on the predictions of all (states,
+    targets) pairs, computed with one product."""
+    return _best_threshold(*_predict_pairs(RidgeReadout(weights), pairs))
 
-    Continuous predictions are computed once, one product per sequence,
-    and binarized per candidate; ties go to the smallest threshold.
-    `sweep_ridges` multiplies all sequences at once, which gives the same
-    bits only past about 100 rows per sequence; on shorter ones a score
-    can differ where an output lies within rounding of a threshold.
-    """
-    readout = RidgeReadout(weights)
-    continuous = [(readout.predict_continuous(s), t) for s, t in pairs]
-    return max(
-        THRESHOLD_GRID,
-        key=lambda c: pooled_accuracy((out >= c, t) for out, t in continuous),
-    )
+
+def _predict_pairs(readout: RidgeReadout, pairs):
+    """`predict_continuous` of all pairs' states, stacked, and their targets."""
+    empty = np.empty((0, readout.state_dim)), np.empty((0, readout.output_dim))
+    states, targets = zip(*(list(pairs) or [empty]))
+    return readout.predict_continuous(np.concatenate(states)), np.concatenate(targets)
+
+
+def _best_threshold(outputs: np.ndarray, targets: np.ndarray) -> float:
+    """The first `THRESHOLD_GRID` entry of best `metrics.accuracy`."""
+    return max(THRESHOLD_GRID, key=lambda c: accuracy(outputs >= c, targets))
 
 
 def _prepare(dataset, config, ip, washout):
@@ -210,10 +212,7 @@ def sweep_ridges(
             outputs = readout.predict_continuous(packed)
             outputs[washed] = np.nan
             splits = [(outputs[a:b], on[a:b]) for a, b in ranges]
-            chosen = threshold
-            if tune_threshold:
-                out, target = splits[1]
-                chosen = max(THRESHOLD_GRID, key=lambda c: accuracy(out >= c, target))
+            chosen = _best_threshold(*splits[1]) if tune_threshold else threshold
             train, valid, test = (accuracy(out >= chosen, t) for out, t in splits)
             seconds = shared + solve_seconds + time.perf_counter() - start
             results.append(TrialResult(train, valid, test, chosen, seconds))

@@ -26,7 +26,7 @@ from .reservoir import DeepReservoir, _check_count, run_online
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["IpConfig", "ip_update", "pretrain_ip", "activation_statistics"]
+__all__ = ["IpConfig", "pretrain_ip", "activation_statistics"]
 
 # Gains this small would effectively disconnect a unit, and eta / g in
 # the gain update would blow up; clamp and report instead.
@@ -74,35 +74,6 @@ def _update(gain, bias, net, y, config: IpConfig):
     return low
 
 
-def _warn_clamped(count: int) -> None:
-    logger.warning(
-        "clamped %d gain(s) at %g during intrinsic-plasticity update",
-        count,
-        _MIN_GAIN,
-    )
-
-
-def ip_update(
-    gain: np.ndarray,
-    bias: np.ndarray,
-    net: np.ndarray,
-    y: np.ndarray,
-    config: IpConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One online update of (gain, bias) given net input and tanh output.
-
-    Returns new arrays; the inputs are not modified. Gains are clamped
-    from below so a unit can shrink but never vanish or change sign;
-    each call that clamps logs one warning with the count.
-    """
-    gain = np.array(gain, dtype=float)
-    bias = np.array(bias, dtype=float)
-    low = _update(gain, bias, net, y, config)
-    if low is not None:
-        _warn_clamped(np.count_nonzero(low))
-    return gain, bias
-
-
 def pretrain_ip(
     reservoir: DeepReservoir,
     sequences: list[np.ndarray],
@@ -134,7 +105,8 @@ def pretrain_ip(
     run_online(reservoir, sequences * config.epochs, adapt)
     for count in clamps.tolist():
         if count:
-            _warn_clamped(count)
+            logger.warning("clamped %d gain(s) at %g during intrinsic-plasticity "
+                           "update", count, _MIN_GAIN)
     return reservoir
 
 

@@ -15,17 +15,10 @@ targets) scores 1.0 by convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-__all__ = [
-    "FrameCounts",
-    "frame_counts",
-    "accuracy",
-    "pooled_accuracy",
-    "macro_accuracy",
-]
+__all__ = ["FrameCounts", "frame_counts", "accuracy"]
 
 
 @dataclass(frozen=True)
@@ -35,11 +28,6 @@ class FrameCounts:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-    def __add__(self, other: "FrameCounts") -> "FrameCounts":
-        return FrameCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn
-        )
 
     @property
     def accuracy(self) -> float:
@@ -67,27 +55,3 @@ def frame_counts(predicted: np.ndarray, target: np.ndarray) -> FrameCounts:
 def accuracy(predicted: np.ndarray, target: np.ndarray) -> float:
     """Frame-level accuracy of one prediction/target pair."""
     return frame_counts(predicted, target).accuracy
-
-
-def pooled_accuracy(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> float:
-    """Accuracy with TP/FP/FN pooled across all pairs before dividing.
-
-    This is the headline score: long sequences weigh in proportion to
-    their length.
-    """
-    total = FrameCounts()
-    for predicted, target in pairs:
-        total = total + frame_counts(predicted, target)
-    return total.accuracy
-
-
-def macro_accuracy(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]]
-) -> float:
-    """Mean of per-pair accuracies, weighing every sequence equally."""
-    scores = [frame_counts(p, t).accuracy for p, t in pairs]
-    if not scores:
-        raise ValueError("macro accuracy needs at least one pair")
-    return float(np.mean(scores))

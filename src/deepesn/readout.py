@@ -31,7 +31,7 @@ from .reservoir import _check_count, _check_rows
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["RidgeAccumulator", "RidgeReadout", "ridge_solve", "binarize"]
+__all__ = ["RidgeAccumulator", "RidgeReadout", "ridge_solve"]
 
 # Widest state for which `_blas_threads` runs scipy's BLAS on one thread.
 _ONE_THREAD_MAX_DIM = 1000
@@ -131,11 +131,6 @@ def _mirror_lower(a: np.ndarray) -> None:
             a[i0 : i0 + _TILE, j0:j1] = a[j0:j1, i0 : i0 + _TILE].T
         block = a[j0:j1, j0:j1]
         np.copyto(block, block.T, where=_STRICT_UPPER[: j1 - j0, : j1 - j0])
-
-
-def binarize(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Map continuous outputs to {0, 1}; values at the threshold are on."""
-    return (np.asarray(values) >= threshold).astype(np.int8)
 
 
 class RidgeAccumulator:
@@ -252,5 +247,6 @@ class RidgeReadout:
         return out
 
     def predict(self, states: np.ndarray) -> np.ndarray:
-        """Binary outputs, thresholding the continuous predictions."""
-        return binarize(self.predict_continuous(states), self.threshold)
+        """Binary outputs in {0, 1}; continuous predictions at the threshold
+        are on."""
+        return (self.predict_continuous(states) >= self.threshold).astype(np.int8)

@@ -15,14 +15,13 @@ from deepesn.experiment import (
     choose_threshold,
     collect_pairs,
     collect_splits,
-    evaluate_readout,
     run_model,
     sweep_ridges,
 )
 from deepesn.ip import IpConfig, pretrain_ip
-from deepesn.metrics import pooled_accuracy
+from deepesn.metrics import frame_counts
 from deepesn import readout as readout_module
-from deepesn.readout import RidgeAccumulator, binarize
+from deepesn.readout import RidgeAccumulator
 from deepesn.reservoir import (
     ReservoirConfig,
     init_deep_reservoir,
@@ -355,37 +354,39 @@ def reference_sweep(ds, cfg, ridges, ip, washout, threshold, tune_threshold):
     if ip is not None:
         drives = [seq[:-1] for seq in ds.dense("train") if seq.shape[0] > 1]
         pretrain_ip(res, drives, ip)
-    train, valid, test = (
-        collect_pairs(res, ds.dense(split), washout) for split in SPLIT_NAMES
-    )
+    splits = [collect_pairs(res, ds.dense(split), washout) for split in SPLIT_NAMES]
     accumulator = RidgeAccumulator(res.state_dim, ds.dim)
-    for states, targets in train:
+    for states, targets in splits[0]:
         accumulator.add(states, targets)
     results = []
     for ridge in ridges:
-        readout = accumulator.solve(ridge, threshold)
-        if tune_threshold:
-            readout.threshold = choose_threshold(readout.weights, valid)
-            assert readout.threshold == reference_threshold(readout, valid)
-        scores = []
-        for pairs in (train, valid, test):
-            scores.append(evaluate_readout(readout, pairs))
-            assert scores[-1] == pooled_accuracy(
-                (readout.predict(s), t) for s, t in pairs
-            )
-        results.append((*scores, readout.threshold))
+        readout = accumulator.solve(ridge)
+        outputs = [
+            [(readout.predict_continuous(s), t) for s, t in pairs] for pairs in splits
+        ]
+        chosen = reference_threshold(outputs[1]) if tune_threshold else threshold
+        scores = [pooled_accuracy((out >= chosen, t) for out, t in o) for o in outputs]
+        results.append((*scores, chosen))
     return results
 
 
-def reference_threshold(readout, pairs):
-    """The first best threshold of the grid, scored by `metrics` alone."""
+def reference_threshold(outputs):
+    """The first best threshold of the grid on (continuous output, target)
+    pairs, scored by `pooled_accuracy`."""
     scores = [
-        pooled_accuracy(
-            (binarize(readout.predict_continuous(s), th), t) for s, t in pairs
-        )
-        for th in THRESHOLD_GRID
+        pooled_accuracy((out >= th, t) for out, t in outputs) for th in THRESHOLD_GRID
     ]
     return THRESHOLD_GRID[scores.index(max(scores))]
+
+
+def pooled_accuracy(pairs):
+    """TP / (TP + FP + FN) with each count summed over the (predicted,
+    target) pairs one pair at a time; 1.0 when no note is on anywhere."""
+    tp = fp = fn = 0
+    for predicted, target in pairs:
+        counts = frame_counts(predicted, target)
+        tp, fp, fn = tp + counts.tp, fp + counts.fp, fn + counts.fn
+    return tp / (tp + fp + fn) if tp + fp + fn else 1.0
 
 
 def with_short_sequences(ds):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from test_reservoir import reference_stack
 
-from deepesn.ip import IpConfig, activation_statistics, ip_update, pretrain_ip
+from deepesn.ip import IpConfig, _update, activation_statistics, pretrain_ip
 from deepesn.reservoir import ReservoirConfig, init_deep_reservoir, run_sequence
+
+logger = logging.getLogger(__name__)
 
 # one update with defaults at g=1, b=0, net=0.5, y=tanh(0.5)
 ORACLE_Y = 0.46211715726000974
@@ -28,9 +30,31 @@ def small_reservoir(seed=0, n_layers=2):
     )
 
 
+def update(gain, bias, net, y, config):
+    """`ip._update` run on copies of `gain` and `bias`; the new pair."""
+    gain, bias = np.array(gain, dtype=float), np.array(bias, dtype=float)
+    _update(gain, bias, net, y, config)
+    return gain, bias
+
+
+def ip_update(gain, bias, net, y, config):
+    """The module docstring's equations in plain numpy, on new arrays.
+
+    Gains are clamped from below at 1e-6; a call that clamps logs one
+    warning with its count.
+    """
+    eta, mu, s = config.learning_rate, config.target_mean, config.target_std
+    db = -eta * (-mu / s**2 + (y / s**2) * (2 * s**2 + 1 - y * y + mu * y))
+    dg = eta / gain + db * net
+    low = gain + dg < 1e-6
+    if low.any():
+        logger.warning("clamped %d gain(s)", np.count_nonzero(low))
+    return np.maximum(gain + dg, 1e-6), bias + db
+
+
 class TestIpUpdate:
     def test_scalar_oracle(self):
-        gain, bias = ip_update(
+        gain, bias = update(
             np.array([1.0]),
             np.array([0.0]),
             np.array([0.5]),
@@ -47,30 +71,33 @@ class TestIpUpdate:
         b0 = rng.uniform(-0.2, 0.2, size=8)
         y = np.tanh(g0 * net + b0)
         cfg = IpConfig()
-        g_vec, b_vec = ip_update(g0, b0, net, y, cfg)
+        g_vec, b_vec = update(g0, b0, net, y, cfg)
         for i in range(8):
-            g_i, b_i = ip_update(
+            g_i, b_i = update(
                 g0[i : i + 1], b0[i : i + 1], net[i : i + 1], y[i : i + 1], cfg
             )
             assert g_vec[i] == g_i[0]
             assert b_vec[i] == b_i[0]
 
     def test_inputs_not_mutated(self):
-        g0 = np.ones(3)
-        b0 = np.zeros(3)
-        ip_update(g0, b0, np.ones(3), np.tanh(np.ones(3)), IpConfig())
-        assert np.array_equal(g0, np.ones(3))
-        assert np.array_equal(b0, np.zeros(3))
+        # the update writes only the gain and bias it adapts
+        net, y = np.ones(3), np.tanh(np.ones(3))
+        update(np.ones(3), np.zeros(3), net, y, IpConfig())
+        assert np.array_equal(net, np.ones(3))
+        assert np.array_equal(y, np.tanh(np.ones(3)))
 
     def test_gain_clamped_with_warning(self, caplog):
         # a huge learning rate drives the gain negative in one step
-        cfg = IpConfig(learning_rate=10.0)
-        with caplog.at_level(logging.WARNING, logger="deepesn.ip"):
-            gain, _ = ip_update(
-                np.array([1.0]), np.array([0.0]), np.array([2.0]),
-                np.array([np.tanh(2.0)]), cfg,
-            )
+        cfg = IpConfig(learning_rate=10.0, epochs=1)
+        gain = np.array([1.0])
+        low = _update(
+            gain, np.array([0.0]), np.array([2.0]), np.array([np.tanh(2.0)]), cfg
+        )
         assert gain[0] == 1e-6
+        assert low.tolist() == [True]
+        inputs = np.random.default_rng(2).uniform(-1, 1, size=(20, 3))
+        with caplog.at_level(logging.WARNING, logger="deepesn.ip"):
+            pretrain_ip(small_reservoir(n_layers=1), [inputs], cfg)
         assert any("clamped" in r.message for r in caplog.records)
 
     @pytest.mark.parametrize("shape", [(8,), (3, 50)], ids=["vector", "slab"])
@@ -82,14 +109,11 @@ class TestIpUpdate:
         g0 = rng.uniform(0.5, 1.5, size=shape)
         b0 = rng.uniform(-0.2, 0.2, size=shape)
         y = np.tanh(g0 * net + b0)
-        eta, mu, s = cfg.learning_rate, cfg.target_mean, cfg.target_std
-        db = -eta * (-mu / s**2 + (y / s**2) * (2 * s**2 + 1 - y * y + mu * y))
-        dg = eta / g0 + db * net
-        want_gain = np.maximum(g0 + dg, 1e-6)
-        gain, bias = ip_update(g0, b0, net, y, cfg)
+        want_gain, want_bias = ip_update(g0, b0, net, y, cfg)
+        gain, bias = update(g0, b0, net, y, cfg)
         assert 0 < np.count_nonzero(gain == 1e-6) < gain.size
         assert np.array_equal(gain, want_gain)
-        assert np.array_equal(bias, b0 + db)
+        assert np.array_equal(bias, want_bias)
 
 
 class TestIpConfig:

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from deepesn.metrics import (
-    FrameCounts,
-    accuracy,
-    frame_counts,
-    macro_accuracy,
-    pooled_accuracy,
-)
+from deepesn.experiment import choose_threshold, evaluate_readout
+from deepesn.metrics import accuracy, frame_counts
+from deepesn.readout import RidgeReadout
 
 
 def brute_force_counts(predicted, target):
@@ -53,25 +49,26 @@ class TestFrameCounts:
         with pytest.raises(ValueError):
             frame_counts(np.zeros(3), np.zeros(4))
 
-    def test_counts_add(self):
-        total = FrameCounts(1, 2, 3) + FrameCounts(4, 5, 6)
-        assert (total.tp, total.fp, total.fn) == (5, 7, 9)
+
+def identity_readout(width):
+    """A readout whose continuous outputs are its states, on at 0.5."""
+    return RidgeReadout(np.vstack([np.eye(width), np.zeros(width)]))
 
 
 class TestAggregation:
+    """`evaluate_readout` pools TP/FP/FN over all pairs before dividing."""
+
     def test_pooled_weighs_by_notes(self):
         # pair A: 1 hit; pair B: 3 spurious, 3 missed
-        a = (np.array([1, 0]), np.array([1, 0]))
-        b = (np.array([1, 1, 1, 0, 0, 0]), np.array([0, 0, 0, 1, 1, 1]))
-        assert pooled_accuracy([a, b]) == 1 / 7
-        assert macro_accuracy([a, b]) == 0.5
+        a = (np.array([[1, 0]]), np.array([[1, 0]]))
+        b = (np.array([[1, 1], [1, 0], [0, 0]]), np.array([[0, 0], [0, 1], [1, 1]]))
+        assert evaluate_readout(identity_readout(2), [a, b]) == 1 / 7
+        assert (accuracy(*a) + accuracy(*b)) / 2 == 0.5  # not the mean per pair
 
     def test_pooled_empty_is_one(self):
-        assert pooled_accuracy([]) == 1.0
-
-    def test_macro_rejects_empty(self):
-        with pytest.raises(ValueError):
-            macro_accuracy([])
+        readout = identity_readout(3)
+        assert evaluate_readout(readout, []) == 1.0
+        assert choose_threshold(readout.weights, []) == 0.1
 
     def test_pooled_matches_manual_merge(self):
         rng = np.random.default_rng(1)
@@ -83,4 +80,4 @@ class TestAggregation:
         for p, t in pairs:
             dtp, dfp, dfn = brute_force_counts(p, t)
             tp, fp, fn = tp + dtp, fp + dfp, fn + dfn
-        assert pooled_accuracy(pairs) == tp / (tp + fp + fn)
+        assert evaluate_readout(identity_readout(4), pairs) == tp / (tp + fp + fn)

@@ -2,9 +2,10 @@
 
 Under `--trace 1`, perfbench/worker.py runs one cell through the public
 calls one at a time (`collect_pairs`, `RidgeAccumulator`,
-`choose_threshold`, `evaluate_readout`) and requires the rows that
-`sweep_ridges` gives. Running that path here shows a change to those
-calls in the test suite. Nothing under perfbench/ is written.
+`choose_threshold`, `evaluate_readout`, the last two scoring one
+product per split) and requires the rows that `sweep_ridges` gives.
+Running that path here shows a change to those calls in the test suite.
+Nothing under perfbench/ is written.
 """
 
 import importlib.util
@@ -31,9 +32,22 @@ def worker(monkeypatch):
     return module
 
 
-def test_run_phases_equals_sweep_ridges(worker):
-    ds = make_synthetic_dataset(seed=0)
-    cfg = ReservoirConfig(ds.dim, 3, 20, leaky_rate=0.5, connectivity=0.2, seed=1)
+# The default synthetic shape, and the grid-small-1w width (500 features)
+# on 88 keys with sequences of 2-90 frames, where per-sequence products
+# of the readout were seen to round differently from one stacked product.
+@pytest.mark.parametrize(
+    "data, layers, units",
+    [
+        (dict(), 3, 20),
+        (dict(dim=88, n_sequences=(12, 8, 8), length_range=(2, 90)), 10, 50),
+    ],
+    ids=["3x20", "10x50-short-88"],
+)
+def test_run_phases_equals_sweep_ridges(worker, data, layers, units):
+    ds = make_synthetic_dataset(seed=0, **data)
+    cfg = ReservoirConfig(
+        ds.dim, layers, units, leaky_rate=0.5, connectivity=0.2, seed=1
+    )
     reservoir, _, rows = worker.run_phases(worker.Tracer("t"), ds, cfg)
     results = sweep_ridges(
         ds, cfg, worker.RIDGES, ip=worker.ip_config(), tune_threshold=True

@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm, dsyrk
 
 from deepesn import readout as readout_module
-from deepesn.readout import RidgeAccumulator, RidgeReadout, binarize, ridge_solve
+from deepesn.readout import RidgeAccumulator, RidgeReadout, ridge_solve
 
 
 def brute_force_ridge(states, targets, ridge):
@@ -445,8 +445,9 @@ class TestBlasThreads:
 
 class TestPrediction:
     def test_binarize_threshold_inclusive(self):
-        out = binarize(np.array([0.49, 0.5, 0.51]), 0.5)
-        np.testing.assert_array_equal(out, [0, 1, 1])
+        readout = RidgeReadout(weights=np.array([[1.0], [0.0]]), threshold=0.5)
+        out = readout.predict(np.array([[0.49], [0.5], [0.51]]))
+        np.testing.assert_array_equal(out, [[0], [1], [1]])
 
     def test_predict_applies_affine_then_threshold(self):
         readout = RidgeReadout(
