@@ -90,7 +90,9 @@ def pretrain_ip(
     before anything adapts. Fresh copies of the gain and bias stacks
     adapt in place, so arrays a caller held keep their values. Each
     layer whose gains were clamped logs one warning with its count. The
-    reservoir is modified in place and returned.
+    reservoir is modified in place and returned. Above
+    `reservoir._ONE_THREAD_MAX_DIM` features the two halves of the stack
+    adapt on two threads (`run_online`), with the same bits.
     """
     reservoir._weight_stacks().restack_parameters(reservoir.layers)
     clamps = np.zeros(reservoir.config.n_layers, dtype=np.int64)
@@ -118,7 +120,10 @@ def activation_statistics(
     Pools every time step of every sequence, without adapting anything.
     Useful to check how close each unit's output distribution is to the
     adaptation targets. Returns (means, stds), each of shape
-    (n_layers, units_per_layer).
+    (n_layers, units_per_layer). Each layer sums its steps in order, on
+    one thread or, above `reservoir._ONE_THREAD_MAX_DIM` features, on
+    the thread of its half of the stack (`run_online`), so both give the
+    same bits.
     """
     sequences = list(sequences)
     sums = np.zeros((reservoir.config.n_layers, reservoir.config.units_per_layer))

@@ -12,7 +12,9 @@ fallback (the SYRK, the GEMMs, the Cholesky solves) runs on scipy's
 OpenBLAS: numpy and scipy each ship their own, with its own thread
 pool, and waking both pools in one trial makes them compete for CPUs.
 `sweep_ridges` runs them on one thread for up to `_ONE_THREAD_MAX_DIM`
-features (see `_blas_threads`).
+features (see `_blas_threads`), the width up to which the reservoir
+phases run on one thread too. The system is checked for infs and NaNs
+once per add, not by every LAPACK call of every ridge.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cython_blas
 from scipy.linalg.blas import dgemm, dsyrk
 
-from .reservoir import _check_count, _check_rows
+from .reservoir import _ONE_THREAD_MAX_DIM, _check_count, _check_rows
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["RidgeAccumulator", "RidgeReadout", "ridge_solve"]
-
-# Widest state for which `_blas_threads` runs scipy's BLAS on one thread.
-_ONE_THREAD_MAX_DIM = 1000
 
 
 def _openblas_threads():
@@ -64,7 +63,8 @@ def _blas_threads(dim: int):
     spins on a CPU for a while, so any other busy process slows the
     single-threaded reservoir work that follows: on 2 CPUs, one busy
     process took a 500-feature grid item from 0.12 to 0.22 s with two
-    threads, while with one it stayed at 0.12 s.
+    threads, while with one it stayed at 0.12 s. Above the same width,
+    `reservoir._parts` runs the reservoir phases on two threads.
     """
     if _THREADS is None or dim > _ONE_THREAD_MAX_DIM:
         yield
@@ -85,23 +85,40 @@ def ridge_solve(xtx: np.ndarray, xty: np.ndarray, ridge: float) -> np.ndarray:
     every diagonal entry, the bias feature included. The solve works on
     one Fortran-order copy of `xtx`.
     """
-    return _solve(lambda: np.array(xtx, dtype=float, order="F"), xty, ridge)
+    return _solve(lambda: _finite(np.array(xtx, dtype=float, order="F")), xty, ridge)
+
+
+# scipy's message when a LAPACK wrapper's own finiteness check fails
+_NOT_FINITE = "array must not contain infs or NaNs"
+
+
+def _finite(array: np.ndarray) -> np.ndarray:
+    """`array`, or scipy's ValueError if it holds an inf or a NaN."""
+    if not np.isfinite(array).all():
+        raise ValueError(_NOT_FINITE)
+    return array
 
 
 def _solve(build, xty: np.ndarray, ridge: float) -> np.ndarray:
     """Solve the system whose X^T X `build()` returns in Fortran order.
 
-    The array's upper triangle is all that is read. It gets the ridge on
-    its diagonal and is factorized in place, so the solve makes no n^2
-    array beyond the finiteness checks' masks. If the Cholesky
-    factorization fails, `build()` runs again and a least-squares solve
-    runs on its result with the upper triangle mirrored into the lower.
+    `build()` raises ValueError unless the array is finite, so neither
+    LAPACK call checks it again: with the ridge on its diagonal, checked
+    there, a finite system has a finite factor. The array's upper
+    triangle is all that is read. It gets the ridge on its diagonal and
+    is factorized in place, so the solve makes no n^2 array beyond the
+    finiteness check's mask. If the Cholesky factorization fails,
+    `build()` runs again and a least-squares solve runs on its result
+    with the upper triangle mirrored into the lower.
     """
     _check_ridge(ridge)
+    xty = _finite(np.asarray(xty))
     a = build()
     a.flat[:: len(a) + 1] += ridge
+    _finite(a.diagonal())
     try:
-        return cho_solve(cho_factor(a, overwrite_a=True), xty)
+        factor = cho_factor(a, overwrite_a=True, check_finite=False)
+        return cho_solve(factor, xty, check_finite=False)
     except np.linalg.LinAlgError:
         logger.warning("normal equations not positive definite at ridge=%g; "
                        "falling back to least squares", ridge)
@@ -144,7 +161,9 @@ class RidgeAccumulator:
     out as the system. `add` updates its upper triangle. The first solve
     after an add mirrors that into the strict lower triangle, which
     Cholesky never writes, and keeps the diagonal aside, to restore the
-    upper triangle from for each later solve or add.
+    upper triangle from for each later solve or add. That first solve
+    also checks the system for infs and NaNs, which finite batches can
+    still make by overflowing, and each later solve reuses the answer.
     """
 
     def __init__(self, state_dim: int, output_dim: int):
@@ -154,6 +173,7 @@ class RidgeAccumulator:
         self.xty = np.zeros((state_dim + 1, output_dim))
         self.n_samples = 0
         self._diag = None  # the system's diagonal, while the mirror holds it
+        self._all_finite = True  # whether the mirrored system is finite
 
     def add(self, states: np.ndarray, targets: np.ndarray) -> None:
         """Accumulate a batch of (state, target) rows.
@@ -204,6 +224,7 @@ class RidgeAccumulator:
         if self._diag is None:
             self._diag = a.diagonal().copy()
             _mirror_lower(a.T)
+            self._all_finite = bool(np.isfinite(a).all())
         else:
             _mirror_lower(a)
             a.flat[:: len(a) + 1] = self._diag
@@ -214,8 +235,15 @@ class RidgeAccumulator:
         if self.n_samples == 0:
             raise ValueError("cannot solve a readout from zero samples")
         return RidgeReadout(
-            weights=_solve(self._system, self.xty, ridge), threshold=threshold
+            weights=_solve(self._finite_system, self.xty, ridge), threshold=threshold
         )
+
+    def _finite_system(self) -> np.ndarray:
+        """`_system()`, or a ValueError if it holds an inf or a NaN."""
+        a = self._system()
+        if not self._all_finite:
+            raise ValueError(_NOT_FINITE)
+        return a
 
 
 @dataclass

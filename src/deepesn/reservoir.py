@@ -22,7 +22,13 @@ inputs.
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +49,50 @@ __all__ = [
     "step_deep",
     "run_sequence",
 ]
+
+# Widest global state whose reservoir phases run on one thread, and whose
+# sweep runs scipy's BLAS on one (`readout._blas_threads`). At that width
+# a second thread costs more than it saves.
+_ONE_THREAD_MAX_DIM = 1000
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _parts(state_dim: int, count: int) -> int:
+    """Threads for a reservoir phase over `count` sequences: two for states
+    wider than `_ONE_THREAD_MAX_DIM` when there are two sequences and two
+    CPUs to run them on, else one."""
+    return 2 if state_dim > _ONE_THREAD_MAX_DIM and count > 1 and _cpus() > 1 else 1
+
+
+def _run_parts(tasks) -> None:
+    """Run the first task on this thread and every other on one of its own.
+
+    Returns once all have ended, so no thread outlives the call. The
+    first task's error, else the first other one's, is raised here.
+    """
+    errors = []
+
+    def run(task):
+        try:
+            task()
+        except BaseException as error:  # re-raised on the calling thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(task,)) for task in tasks[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        tasks[0]()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _check_count(name: str, value, minimum: int) -> int:
@@ -273,6 +323,28 @@ class _WeightStacks:
             layer.gain, layer.bias = gain, bias
         self._held = self._arrays_of(layers)
 
+    def part(self, first: int, stop: int) -> "_WeightStacks":
+        """The stacks of layers [first, stop) alone, the whole when that is all.
+
+        Gains and biases are views, so a part shares every write; the
+        sparse block is its diagonal sub-block, which sums each row in the
+        order of the whole. Layer `first` is fed by `first_feed`.
+        """
+        if (first, stop) == (0, len(self.gain)):
+            return self
+        part, units = copy.copy(self), self.gain.shape[1]
+        if first:
+            part.first_feed = self.feeds[first - 1]
+        part.feeds = self.feeds[first : stop - 1]
+        if self.block is not None:
+            rows = slice(first * units, stop * units)
+            part.block = self.block[rows, rows]
+        else:
+            part.dense = self.dense[first:stop]
+        for name in ("gain", "bias", "leak", "keep"):
+            setattr(part, name, getattr(self, name)[first:stop])
+        return part
+
     @staticmethod
     def _arrays_of(layers) -> list:
         names = ("recurrent", "feed", "gain", "bias", "leaky_rate")
@@ -404,20 +476,19 @@ def _checked(reservoir, sequences, states):
     return sequences, states
 
 
-def _schedule(lengths: np.ndarray):
-    """Where every step of a batch goes: (running, dest).
+def _schedule(lengths: np.ndarray, starts: np.ndarray, spare: int):
+    """Where every step of a group of sequences goes: (running, dest).
 
-    The batch is taken longest first. `running[t]` counts the sequences
-    still running at step t, a prefix of that order. `dest[t, r]` is the
-    row of step t of the r-th longest sequence in the sequence-major
-    layout, where every sequence's steps are contiguous, or the spare
-    row `lengths.sum()` once that sequence has ended.
+    The group is given longest first, by `lengths` and by `starts`, the
+    rows of their first steps in the sequence-major layout, where every
+    sequence's steps are contiguous. `running[t]` counts the sequences
+    still running at step t, a prefix of the group. `dest[t, r]` is the
+    row of step t of the r-th sequence, or the spare row `spare` once
+    that sequence has ended.
     """
-    order = np.argsort(-lengths, kind="stable")
-    steps = np.arange(lengths.max())[:, None]
-    starts = np.cumsum(lengths) - lengths
-    ended = steps >= lengths[order]
-    dest = np.where(ended, lengths.sum(), starts[order] + steps)
+    steps = np.arange(lengths[0])[:, None]
+    ended = steps >= lengths
+    dest = np.where(ended, spare, starts + steps)
     return (len(lengths) - ended.sum(axis=1)).tolist(), dest
 
 
@@ -493,10 +564,12 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     one packed array. Every sequence starts from rest, or from
     `states`, one (units,) state per layer.
 
-    The batch runs on the diagonal waves of `_waves`, longest sequence
-    first, and each wave's new states go straight to their rows of the
-    result with one indexed assignment. Every row is bit-equal to
-    stepping its sequence alone.
+    The batch is taken longest first and dealt in turn to `_parts`
+    groups: two above `_ONE_THREAD_MAX_DIM` features with two CPUs, else
+    one. Each group runs on the diagonal waves of `_waves`, on a thread
+    of its own, and each wave's new states go straight to their rows of
+    the result with one indexed assignment. Every row is bit-equal to
+    stepping its sequence alone, whatever group it ran in.
     """
     sequences, states = _checked(reservoir, sequences, states)
     if not sequences:
@@ -505,26 +578,34 @@ def run_layers(reservoir, sequences, states=None) -> list[np.ndarray]:
     lengths = np.array([inputs.shape[0] for inputs in sequences])
     total = int(lengths.sum())
     starts = np.cumsum(lengths) - lengths
-    # One spare row takes the slab rows of sequences that have ended.
-    out = np.empty((total + 1, reservoir.state_dim))
+    parts = _parts(reservoir.state_dim, np.count_nonzero(lengths))
+    # One spare row per group takes the slab rows of sequences that have ended.
+    out = np.empty((total + parts, reservoir.state_dim))
     views = [out[s : s + n] for s, n in zip(starts.tolist(), lengths.tolist())]
     if total == 0:
         return views
-    running, dest = _schedule(lengths)
-    # The spare row of the drives is zero: an ended sequence's input.
-    drives = np.concatenate(sequences + [np.zeros((1, reservoir.config.input_dim))])
-    batch = np.empty((depth, len(sequences), units))
-    batch[...] = np.asarray(states, dtype=float)[:, None]
-    waves = _waves(reservoir._weight_stacks(), drives[dest], running, batch)
-    # Slab row (l, r) of wave w is step w - l of the r-th longest
-    # sequence: layer l of row dest[w - l, r] of `out`. Read backwards in
-    # time, the table has the rows of layers lo..hi - 1 as one slice.
-    layered = out.reshape(total + 1, depth, units)
-    back, last = dest[::-1], len(running) - 1
+    # The spare rows of the drives are zero: an ended sequence's input.
+    drives = np.concatenate(sequences + [np.zeros((parts, reservoir.config.input_dim))])
+    stacks, start = reservoir._weight_stacks(), np.asarray(states, dtype=float)
+    layered = out.reshape(total + parts, depth, units)
     level = np.arange(depth)[:, None]
-    for wave, (lo, hi, net, _) in enumerate(waves):
-        k, at = net.shape[1], last - wave
-        layered[back[at + lo : at + hi, :k], level[lo:hi]] = batch[lo:hi, :k]
+
+    def collect(group, spare):
+        running, dest = _schedule(lengths[group], starts[group], spare)
+        batch = np.empty((depth, len(group), units))
+        batch[...] = start[:, None]
+        waves = _waves(stacks, drives[dest], running, batch)
+        # Slab row (l, r) of wave w is step w - l of the group's r-th
+        # sequence: layer l of row dest[w - l, r] of `out`. Read backwards
+        # in time, the table has the rows of layers lo..hi - 1 as one slice.
+        back, last = dest[::-1], len(running) - 1
+        for wave, (lo, hi, net, _) in enumerate(waves):
+            k, at = net.shape[1], last - wave
+            layered[back[at + lo : at + hi, :k], level[lo:hi]] = batch[lo:hi, :k]
+
+    order = np.argsort(-lengths, kind="stable")
+    groups = [order[p::parts] for p in range(parts)]
+    _run_parts([functools.partial(collect, g, total + p) for p, g in enumerate(groups)])
     return views
 
 
@@ -538,18 +619,71 @@ def run_online(reservoir, sequences, on_step) -> None:
     bias) and tanh outputs. It may adapt `gain` and `bias` in place: they
     are the layers' own, and the next wave reads them. Every sequence is
     checked before any runs.
+
+    Above `_ONE_THREAD_MAX_DIM` features, with two CPUs and two nonempty
+    sequences, the stack splits at its middle layer m into two stages on
+    two threads: the first runs layers [0, m) sequence after sequence
+    and hands each sequence's layer m - 1 states to the second, which
+    runs layers [m, n_layers) on them. A layer reads only the layer below
+    at the same step and its own parameters, so every layer sees the
+    same steps in the same order with the same bits. `on_step` may then
+    be called from both threads at once, always for disjoint `rows`. If
+    either stage or `on_step` raises, both stages stop and the error is
+    raised here, after both threads have ended.
     """
     sequences = [_check_rows("inputs", x, reservoir.config.input_dim) for x in sequences]
-    stacks = reservoir._weight_stacks()
-    states = np.empty_like(stacks.gain[:, None])
+    sequences = [inputs for inputs in sequences if inputs.shape[0]]
+    stacks, depth = reservoir._weight_stacks(), reservoir.config.n_layers
+    if depth == 1 or _parts(reservoir.state_dim, len(sequences)) == 1:
+        _run_stage(stacks, 0, depth, sequences, on_step)
+        return
+    middle = depth // 2
+    handoff, failed = queue.Queue(maxsize=4), threading.Event()
+
+    def handed():
+        while (drives := handoff.get()) is not None:
+            yield drives
+
+    def lower():
+        try:
+            drives = itertools.takewhile(lambda _: not failed.is_set(), sequences)
+            _run_stage(stacks, 0, middle, drives, on_step, handoff.put)
+        finally:
+            handoff.put(None)
+
+    def upper():
+        try:
+            _run_stage(stacks, middle, depth, handed(), on_step)
+        except BaseException:
+            failed.set()
+            for _ in handed():  # until `lower` stops, so it never waits on a full queue
+                pass
+            raise
+
+    _run_parts([lower, upper])
+
+
+def _run_stage(stacks, first, stop, sequences, on_step, hand=None) -> None:
+    """`run_online`'s loop over layers [first, stop), driven by `sequences`.
+
+    Each (T, width) drive runs from rest; `on_step` gets the global rows
+    of the layers. `hand`, if given, gets a new (T, units) array of each
+    drive's states of layer stop - 1.
+    """
+    part = stacks.part(first, stop)
+    states = np.empty_like(part.gain[:, None])
+    depth = len(states)
     for inputs in sequences:
-        if not inputs.shape[0]:
-            continue
         states[...] = 0.0
-        waves = _waves(stacks, inputs[:, None], [1] * inputs.shape[0], states)
-        for lo, hi, net, y in waves:
-            rows = slice(lo, hi)
+        last = None if hand is None else np.empty((inputs.shape[0], states.shape[2]))
+        waves = _waves(part, inputs[:, None], [1] * inputs.shape[0], states)
+        for wave, (lo, hi, net, y) in enumerate(waves):
+            rows = slice(first + lo, first + hi)
             on_step(rows, stacks.gain[rows], stacks.bias[rows], net[:, 0], y[:, 0])
+            if last is not None and hi == depth:
+                last[wave - depth + 1] = states[-1, 0]
+        if last is not None:
+            hand(last)
 
 
 def step_deep(

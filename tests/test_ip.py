@@ -1,9 +1,12 @@
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
-from test_reservoir import reference_stack
+from test_reservoir import call_in_time, reference_stack, spy_parts
 
+from deepesn import reservoir as reservoir_module
 from deepesn.ip import IpConfig, _update, activation_statistics, pretrain_ip
 from deepesn.reservoir import ReservoirConfig, init_deep_reservoir, run_sequence
 
@@ -360,3 +363,83 @@ class TestReferenceLoopEdges(TestReferenceLoop):
             self.N_LAYERS, self.CONNECTIVITY, self.LENGTHS, self.CONFIG,
             self.LEAKY_RATES,
         ) = EDGE_CASES[request.param]
+
+
+class TestTwoStages:
+    """Above the one-thread width, the two-stage pipeline adapts and pools
+    with the bits of the one-part loop."""
+
+    CONFIG = IpConfig(learning_rate=0.05, epochs=2)
+
+    @pytest.mark.parametrize("n_layers, units", [(2, 501), (3, 334)])
+    def test_equals_one_part(self, monkeypatch, caplog, n_layers, units):
+        rng = np.random.default_rng(n_layers)
+        # sequences shorter than the stack is deep, and empty ones
+        lengths = (0, 40, 1, 2, 0, 25, 1)
+        sequences = [rng.uniform(-1, 1, size=(n, 3)) for n in lengths]
+        config = ReservoirConfig(
+            input_dim=3, n_layers=n_layers, units_per_layer=units,
+            leaky_rate=0.5, connectivity=0.05, seed=2,
+        )
+        runs = {}
+        for cpus in (1, 2):
+            counts = spy_parts(monkeypatch, cpus)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="deepesn.ip"):
+                res = pretrain_ip(init_deep_reservoir(config), sequences, self.CONFIG)
+            clamps = [r.args[0] for r in caplog.records]
+            stats = activation_statistics(res, sequences)
+            gains = [(layer.gain, layer.bias) for layer in res.layers]
+            runs[cpus] = gains, clamps, stats
+            assert counts == ([2, 2] if cpus == 2 else [])
+        (one_gains, one_clamps, one_stats), (two_gains, two_clamps, two_stats) = (
+            runs[1], runs[2]
+        )
+        assert sum(one_clamps) > 0
+        assert two_clamps == one_clamps
+        for (gain, bias), (want_gain, want_bias) in zip(two_gains, one_gains):
+            assert np.array_equal(gain, want_gain)
+            assert np.array_equal(bias, want_bias)
+        for got, want in zip(two_stats, one_stats):
+            assert np.array_equal(got, want)
+
+    def test_concurrent_calls_under_fast_thread_switching(self, monkeypatch):
+        # three calls at once run six threads on at most two CPUs, switching
+        # every microsecond; a lost update to a shared sum would show
+        rng = np.random.default_rng(8)
+        sequences = [rng.uniform(-1, 1, size=(n, 3)) for n in (30, 3, 20, 12)]
+        config = ReservoirConfig(
+            input_dim=3, n_layers=3, units_per_layer=334, connectivity=0.05, seed=3
+        )
+
+        def statistics():
+            res = pretrain_ip(init_deep_reservoir(config), sequences, self.CONFIG)
+            return [layer.gain for layer in res.layers], activation_statistics(
+                res, sequences
+            )
+
+        monkeypatch.setattr(reservoir_module, "_cpus", lambda: 1)
+        want_gains, want_stats = statistics()
+        monkeypatch.setattr(reservoir_module, "_cpus", lambda: 2)
+        results = []
+
+        def run_three():
+            callers = [
+                threading.Thread(target=lambda: results.append(statistics()))
+                for _ in range(3)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            call_in_time(run_three)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 3
+        for gains, stats in results:
+            assert all(np.array_equal(g, w) for g, w in zip(gains, want_gains))
+            assert all(np.array_equal(g, w) for g, w in zip(stats, want_stats))

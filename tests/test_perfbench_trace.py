@@ -32,16 +32,18 @@ def worker(monkeypatch):
     return module
 
 
-# The default synthetic shape, and the grid-small-1w width (500 features)
+# The default synthetic shape; the grid-small-1w width (500 features)
 # on 88 keys with sequences of 2-90 frames, where per-sequence products
-# of the readout were seen to round differently from one stacked product.
+# of the readout were seen to round differently from one stacked product;
+# and 1200 features, wide enough for the reservoir phases' two threads.
 @pytest.mark.parametrize(
     "data, layers, units",
     [
         (dict(), 3, 20),
         (dict(dim=88, n_sequences=(12, 8, 8), length_range=(2, 90)), 10, 50),
+        (dict(dim=88, n_sequences=(6, 3, 3), length_range=(2, 60)), 6, 200),
     ],
-    ids=["3x20", "10x50-short-88"],
+    ids=["3x20", "10x50-short-88", "6x200-wide-88"],
 )
 def test_run_phases_equals_sweep_ridges(worker, data, layers, units):
     ds = make_synthetic_dataset(seed=0, **data)

@@ -413,6 +413,38 @@ class TestAccumulatorValidation:
         with pytest.raises(ValueError, match="infs or NaNs"):
             acc.solve(1e-3)
 
+    def test_overflowed_system_raises_on_every_solve(self):
+        # the system is checked once, on the first solve after an add
+        acc = RidgeAccumulator(2, 1)
+        acc.add(np.full((2, 2), 1e308), np.ones((2, 1)))
+        for ridge in (1e-3, 1e-2, 1e-3):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                acc.solve(ridge)
+
+    def test_finite_batch_after_a_solve_is_checked_again(self):
+        acc = RidgeAccumulator(2, 1)
+        acc.add(np.ones((2, 2)), np.ones((2, 1)))
+        acc.solve(1e-3)
+        acc.add(np.full((2, 2), 1e308), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            acc.solve(1e-3)
+
+    @pytest.mark.parametrize(
+        "block, index",
+        [("xtx", (1, 1)), ("xtx", (0, 2)), ("xty", (2, 1))],
+        ids=["diagonal", "upper", "xty"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ridge_solve_rejects_non_finite_blocks(self, block, index, bad):
+        blocks = {"xtx": np.eye(3), "xty": np.ones((3, 2))}
+        blocks[block][index] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ridge_solve(blocks["xtx"], blocks["xty"], 1e-3)
+
+    def test_ridge_that_overflows_the_diagonal_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            ridge_solve(np.eye(2) * 1e308, np.ones((2, 1)), 1e308)
+
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             RidgeAccumulator(3, 2).solve(1e-3)

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from deepesn import reservoir as reservoir_module
 from deepesn.errors import InitializationError
 from deepesn.ip import IpConfig, activation_statistics, pretrain_ip
 from deepesn.linalg import operator_norm
@@ -15,6 +17,8 @@ from deepesn.reservoir import (
     effective_matrix,
     init_deep_reservoir,
     rescale_recurrent,
+    run_layers,
+    run_online,
     run_sequence,
     step_deep,
 )
@@ -490,3 +494,109 @@ class TestKernelChecks:
             pretrain_ip(self.res, [np.zeros((5, 5))])
         with pytest.raises(ValueError, match=message):
             activation_statistics(self.res, [np.zeros((5, 5))])
+
+
+def spy_parts(monkeypatch, cpus):
+    """Patch the CPU count to `cpus`; a list that gets each phase's part count."""
+    monkeypatch.setattr(reservoir_module, "_cpus", lambda: cpus)
+    counts, run_parts = [], reservoir_module._run_parts
+
+    def spy(tasks):
+        counts.append(len(tasks))
+        run_parts(tasks)
+
+    monkeypatch.setattr(reservoir_module, "_run_parts", spy)
+    return counts
+
+
+class TestTwoPartCollection:
+    """Above the one-thread width, two groups of a batch run on two threads
+    and give every row the bits of running its sequence alone."""
+
+    # (n_layers, units): 1000 features, the widest that runs as one part,
+    # and 1001, the narrowest that splits
+    SHAPES = {1000: (8, 125), 1001: (7, 143)}
+
+    @pytest.mark.parametrize("lengths", [(17,), (1, 40, 7, 40, 2), (3, 0, 1, 9, 33, 0, 12)])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("width", [1000, 1001])
+    def test_rows_equal_sequences_run_alone(self, monkeypatch, width, cpus, lengths):
+        n_layers, units = self.SHAPES[width]
+        res = init_deep_reservoir(
+            small_config(n_layers=n_layers, units_per_layer=units, connectivity=0.05)
+        )
+        rng = np.random.default_rng(len(lengths))
+        sequences = [rng.uniform(-1, 1, size=(n, 4)) for n in lengths]
+        expected = [run_sequence(res, inputs) for inputs in sequences]
+        counts = spy_parts(monkeypatch, cpus)
+        got = run_layers(res, sequences)
+        split = width > 1000 and cpus == 2 and np.count_nonzero(lengths) > 1
+        assert counts == [2 if split else 1]
+        for states, want in zip(got, expected):
+            assert np.array_equal(states, want)
+        assert len({id(states.base) for states in got}) == 1
+
+
+def call_in_time(call, seconds=60.0):
+    """Run `call` on a daemon thread; its error, or fail if it runs too long."""
+    errors = []
+
+    def run():
+        try:
+            call()
+        except BaseException as error:
+            errors.append(error)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the call did not return"
+    if errors:
+        raise errors[0]
+
+
+class TestTwoStageErrors:
+    """An error in either stage of `run_online` reaches the caller, and no
+    thread outlives the call."""
+
+    def setup_method(self):
+        # 3 x 400 = 1200 features: the stages are layer 0 and layers 1-2
+        self.res = init_deep_reservoir(small_config(n_layers=3, units_per_layer=400))
+        rng = np.random.default_rng(21)
+        # more sequences than the hand-off queue holds
+        self.sequences = [rng.uniform(-1, 1, size=(5, 4)) for _ in range(12)]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2], ids=["lower", "upper", "last"])
+    def test_error_reaches_caller_and_threads_end(self, monkeypatch, failing):
+        counts = spy_parts(monkeypatch, 2)
+        calls, queue_full = [], threading.Event()
+
+        def on_step(rows, gain, bias, net, y):
+            calls.append(rows)
+            if rows.start == 0 and len(calls) >= 6 * 5:
+                # the lower stage has run six sequences: one is with the
+                # upper stage, four fill the queue, and it waits on the sixth
+                queue_full.set()
+            if rows.start <= failing < rows.stop:
+                if failing:
+                    queue_full.wait(10.0)
+                raise KeyError(rows)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError):
+            call_in_time(lambda: run_online(self.res, self.sequences, on_step))
+        assert threading.active_count() == before
+        assert counts == [2]
+        assert len(calls) < 12 * 7  # both stages stopped early
+
+    def test_threads_end_after_success(self, monkeypatch):
+        spy_parts(monkeypatch, 2)
+        steps = np.zeros(3, dtype=int)
+
+        def on_step(rows, gain, bias, net, y):
+            steps[rows] += 1
+
+        before = threading.active_count()
+        call_in_time(lambda: run_online(self.res, self.sequences, on_step))
+        assert threading.active_count() == before
+        assert steps.tolist() == [60, 60, 60]
